@@ -16,14 +16,18 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .bist import (
+    NOMINAL_RESPONSE,
     Bridge,
     BridgeBehavior,
     BlockTestReport,
     DetectorResponse,
     Fault,
+    Pattern3,
     StuckAt,
+    bump_response,
     overhead_report,
-    run_block_test,
+    pattern_for,
+    run_block_test,  # noqa: F401  the full-map reference engine, re-exported by name
 )
 from .bumpmap import (
     AdjacencyGraph,
@@ -47,6 +51,9 @@ from .diagnosis import (
 from .errors import ParameterError
 
 SCHEMA_VERSION = 1
+
+# (block, bump, response) of failing bumps, as stored in a report's "failing" list.
+FailingBumps = list[tuple[int, int, DetectorResponse]]
 
 DEFAULT_KIND_MIX = {"sa": 0.5, "bridge": 0.5}
 DEFAULT_BEHAVIOR_MIX = {"wired-and": 0.5, "wired-or": 0.5}
@@ -353,6 +360,60 @@ def _candidate_matches(candidate, fault: Fault) -> bool:
     return False
 
 
+def _fault_local_failing(bump_map: BumpMap, fault: Fault) -> FailingBumps:
+    """(block, bump, response) of every bump one fault makes fail, ascending.
+
+    Inactive blocks drive 0, so a single fault changes the received word of
+    its stuck net or of its two bridge endpoints only, each during its own
+    block; every other bump receives its codeword and answers (1, 1).  A
+    bridge endpoint receives the wired AND/OR of its codeword and the
+    partner's word: the partner's codeword within one block, 000 across
+    blocks.  This agrees with ``run_block_test`` on every single fault.
+    """
+    coloring, blocks = bump_map.coloring, bump_map.blocks
+    if isinstance(fault, StuckAt):
+        words = {fault.net: Pattern3(fault.value, fault.value, fault.value)}
+    else:
+        merge = min if fault.behavior is BridgeBehavior.WIRED_AND else max
+        words = {}
+        for bump, partner in ((fault.a, fault.b), (fault.b, fault.a)):
+            same_block = blocks[partner] == blocks[bump]
+            other = pattern_for(coloring[partner]) if same_block else (0, 0, 0)
+            words[bump] = Pattern3(*map(merge, pattern_for(coloring[bump]), other))
+    failing = []
+    for bump, word in words.items():
+        response = bump_response(word, coloring[bump])
+        if response.y == 0:
+            failing.append((blocks[bump], bump, response))
+    return sorted(failing)
+
+
+def _local_reports(
+    failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph
+) -> list[BlockTestReport]:
+    """Per-block reports holding only what ``diagnose`` reads, blocks ascending.
+
+    A report lists the given responses of its block plus every same-block
+    neighbor of a failing bump, at (1, 1) unless given.  Other-block
+    neighbors stay absent, which ``diagnose`` reads as unfalsifiable, exactly
+    as in a full-block report; blocks without a given response are omitted,
+    since they diagnose to nothing.
+    """
+    by_block: dict[int, dict[int, DetectorResponse]] = {}
+    for block, bump, response in failing:
+        by_block.setdefault(block, {})[bump] = response
+    reports = []
+    for block in sorted(by_block):
+        responses = dict(by_block[block])
+        for bump, response in by_block[block].items():
+            if response.y == 0:
+                for neighbor in graph.neighbors(bump):
+                    if bump_map.blocks[neighbor] == block:
+                        responses.setdefault(neighbor, NOMINAL_RESPONSE)
+        reports.append(BlockTestReport(block=block, responses=responses, received={}))
+    return reports
+
+
 def diagnose_reports(
     reports: list[BlockTestReport],
     bump_map: BumpMap,
@@ -371,8 +432,11 @@ def run_campaign(config: CampaignConfig) -> dict:
     """Run a campaign and return the canonical report object.
 
     Every fault is simulated on its own (single-fault assumption), so results
-    are independent of fault-list order and safe to parallelize; this
-    implementation runs them sequentially.
+    are independent of fault-list order.  Each fault is simulated and
+    diagnosed fault-locally: only the one or two nets it touches are
+    resolved, and only their same-block neighborhoods reach ``diagnose``.
+    The result equals running the full-map ``run_block_test`` and diagnosing
+    every block, at a cost independent of the map size.
     """
     bump_map, graph = build_campaign_map(config)
     if config.faults is not None:
@@ -394,17 +458,15 @@ def run_campaign(config: CampaignConfig) -> dict:
     inter_or_total = 0
     inter_or_escaped = 0
     for fault in faults:
-        reports = run_block_test(bump_map, [fault])
+        failing_bumps = _fault_local_failing(bump_map, fault)
         failing = [
-            {"block": r.block, "bump": b, "response": _response_to_list(resp)}
-            for r in reports
-            for b, resp in sorted(r.responses.items())
-            if resp.y == 0
+            {"block": block, "bump": bump, "response": _response_to_list(response)}
+            for block, bump, response in failing_bumps
         ]
         detected = bool(failing)
         entries = [
             (report.block, entry)
-            for report in reports
+            for report in _local_reports(failing_bumps, bump_map, graph)
             for entry in diagnose(report, bump_map, graph, dictionary)
         ]
         diagnosis = [diagnosis_to_dict(entry, block) for block, entry in entries]
@@ -481,12 +543,42 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _is_index(value: Any, size: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
+def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBumps:
+    """Validated (block, bump, response) triples of one stored fault result."""
+    if not isinstance(result, dict) or not isinstance(result.get("failing"), list):
+        raise ParameterError(f"{where}: expected an object with a 'failing' list")
+    failing = []
+    for i, item in enumerate(result["failing"]):
+        at = f"{where}.failing[{i}]"
+        _expect_keys(item, at, {"block", "bump", "response"})
+        block, bump, response = item["block"], item["bump"], item["response"]
+        if not _is_index(block, bump_map.block_count):
+            raise ParameterError(f"{at}.block: expected a block id of this map, got {block!r}")
+        if not _is_index(bump, bump_map.bump_count):
+            raise ParameterError(f"{at}.bump: expected a bump id of this map, got {bump!r}")
+        if bump_map.blocks[bump] != block:
+            raise ParameterError(
+                f"{at}: bump {bump} lies in block {bump_map.blocks[bump]}, not {block}"
+            )
+        if not isinstance(response, list) or len(response) != 2 or not all(
+            _is_index(bit, 2) for bit in response
+        ):
+            raise ParameterError(f"{at}.response: expected two 0/1 integers, got {response!r}")
+        failing.append((block, bump, DetectorResponse(*response)))
+    return failing
+
+
 def rediagnose_report(report: dict) -> dict:
     """Re-derive every fault's diagnosis from a stored campaign report.
 
     Only failing responses are stored; every other bump of a block must have
-    passed with (1, 1) (a y = 1 response forces x = 1), so the per-block
-    reports can be reconstructed exactly.
+    passed with (1, 1) (a y = 1 response forces x = 1), so the neighborhoods
+    that diagnosis reads can be reconstructed exactly.  A failing entry that
+    is malformed or names a bump outside its block raises ParameterError.
     """
     _expect_keys(
         report,
@@ -496,21 +588,13 @@ def rediagnose_report(report: dict) -> dict:
     if report["version"] != SCHEMA_VERSION:
         raise ParameterError(f"report.version: expected {SCHEMA_VERSION}")
     config = parse_config(report["config"])
+    if not isinstance(report["fault_results"], list):
+        raise ParameterError("report.fault_results: expected a list")
     bump_map, graph = build_campaign_map(config)
     dictionary = build_fault_dictionary()
     diagnoses = []
-    for result in report["fault_results"]:
-        failing: dict[int, dict[int, DetectorResponse]] = {}
-        for item in result["failing"]:
-            failing.setdefault(item["block"], {})[item["bump"]] = DetectorResponse(
-                *item["response"]
-            )
-        reports = []
-        for block in range(config.block_count):
-            responses = {
-                b: failing.get(block, {}).get(b, DetectorResponse(1, 1))
-                for b in bump_map.bumps_in_block(block)
-            }
-            reports.append(BlockTestReport(block=block, responses=responses, received={}))
+    for i, result in enumerate(report["fault_results"]):
+        failing = _failing_from_dict(result, f"report.fault_results[{i}]", bump_map)
+        reports = _local_reports(failing, bump_map, graph)
         diagnoses.append(diagnose_reports(reports, bump_map, graph, dictionary))
     return {"version": SCHEMA_VERSION, "diagnoses": diagnoses}

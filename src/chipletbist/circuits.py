@@ -29,9 +29,10 @@ class CircuitElement:
     def __post_init__(self) -> None:
         if self.kind not in ("R", "C"):
             raise ParameterError(f"element kind must be R or C, got {self.kind!r}")
-        if not self.value > 0:
+        if not 0 < self.value < math.inf:
             raise ParameterError(
-                f"element {self.kind}{self.name} value must be positive, got {self.value}"
+                f"element {self.kind}{self.name} value must be positive and finite, "
+                f"got {self.value}"
             )
 
     @property
@@ -110,9 +111,12 @@ def build_faulty_circuit(
     Node naming is deterministic: "in", "m1", "m2", ... and "out"; the bridge
     partner line runs from "m1" to "m2".
     """
-    _require(r_fault_ohm is None or r_fault_ohm > 0, "R_f must be positive")
-    _require(c_fault_f is None or c_fault_f > 0, "C_f must be positive")
-    _require(contact_resistance_ohm >= 0, "contact resistance cannot be negative")
+    _require(r_fault_ohm is None or 0 < r_fault_ohm < math.inf, "R_f must be positive and finite")
+    _require(c_fault_f is None or 0 < c_fault_f < math.inf, "C_f must be positive and finite")
+    _require(
+        0 <= contact_resistance_ohm < math.inf,
+        "contact resistance must be non-negative and finite",
+    )
     if contact_resistance_ohm and defect is not PhysicalDefect.RESISTIVE_MISALIGNMENT:
         raise ParameterError(
             "the additive contact-resistance term applies to resistive misalignment only"

@@ -329,3 +329,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chipletbist
 from chipletbist.cli import main
 
 
@@ -145,6 +150,33 @@ def test_netlist_missing_magnitude_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--component", "rdl", "--defect", "damaged-rdl", "--length-um", "5", "--rf-ohm", "inf"),
+        ("--component", "cu-pillar", "--defect", "capacitive-misalignment", "--cf-farad", "inf"),
+        ("--component", "rdl", "--length-um", "inf"),
+        (
+            "--component",
+            "cu-pillar",
+            "--defect",
+            "resistive-misalignment",
+            "--rf-ohm",
+            "1e308",
+            "--contact-ohm",
+            "1e308",
+        ),
+    ],
+    ids=["rf-inf", "cf-inf", "length-inf", "sum-overflows"],
+)
+def test_netlist_non_finite_value_exits_1(capsys, flags):
+    status, out, err = run_cli(capsys, "netlist", *flags)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
 def test_fit_from_csv(tmp_path, capsys):
     csv_path = tmp_path / "samples.csv"
     rows = ["x,y"] + [f"{x},{5.0 * 2.718281828459045 ** (0.5 * x)}" for x in range(4)]
@@ -273,3 +305,67 @@ def test_diagnose_round_trip_is_byte_stable(tmp_path, capsys):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     rerun = json.loads(diag_a.read_text(encoding="utf-8"))
     assert rerun["diagnoses"] == [r["diagnosis"] for r in report["fault_results"]]
+
+
+def _drop_failing(result):
+    del result["failing"]
+
+
+def _set_item(key, value):
+    def edit(result):
+        result["failing"][0][key] = value
+
+    return edit
+
+
+def _move_to_other_block(result):
+    result["failing"][0]["block"] = 1 - result["failing"][0]["block"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_item("bump", 99999),
+        _move_to_other_block,
+        _set_item("block", 2),
+        _set_item("response", [0, 0, 0]),
+        _set_item("response", [0, 2]),
+        _set_item("response", ["0", "0"]),
+        _drop_failing,
+    ],
+    ids=[
+        "bump-outside-map",
+        "bump-outside-block",
+        "block-out-of-range",
+        "response-three-bits",
+        "response-not-binary",
+        "response-not-ints",
+        "failing-missing",
+    ],
+)
+def test_diagnose_rejects_malformed_failing_entry(tmp_path, capsys, edit):
+    config_path = write_config(tmp_path, CONFIG)
+    report_path = tmp_path / "report.json"
+    assert run_cli(capsys, "simulate", "--config", config_path, "--out", str(report_path))[0] == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    edit(next(r for r in report["fault_results"] if r["failing"]))
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    status, out, err = run_cli(capsys, "diagnose", "--report", str(report_path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: report.fault_results[") and err.count("\n") == 1
+
+
+def test_python_m_cli_runs_dictionary():
+    src = str(Path(chipletbist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipletbist.cli", "dictionary"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "87/91" in proc.stdout
