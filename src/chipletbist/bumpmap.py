@@ -2,19 +2,21 @@
 
 The package I/O bumps sit on a rectangular or hexagonal (close-packed)
 lattice.  Bumps that are close enough to short against each other form the
-potential-short adjacency graph; a proper 4-coloring of that graph decides
-which of the four test codewords each bump receives, and contiguous column
-bands split the map into sequentially tested blocks.
+potential-short adjacency graph.  Because the lattice is regular, every
+partner of a bump within the short radius lies in a small forward window of
+row and column offsets, so the graph is enumerated by scanning that window
+per bump; no spatial index is needed.  A proper 4-coloring of the graph
+decides which of the four test codewords each bump receives, and contiguous
+column bands split the map into sequentially tested blocks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
-
-from scipy.spatial import cKDTree
 
 from .errors import ColoringError, ParameterError
 
@@ -56,8 +58,15 @@ class Lattice:
             raise ParameterError(
                 f"lattice needs rows >= 1 and cols >= 1, got {self.rows}x{self.cols}"
             )
-        if not self.pitch_um > 0:
-            raise ParameterError(f"lattice pitch must be positive, got {self.pitch_um}")
+        if not 0 < self.pitch_um < math.inf:
+            raise ParameterError(
+                f"lattice pitch must be positive and finite, got {self.pitch_um}"
+            )
+        if not math.isfinite(max(self.rows, self.cols) * self.pitch_um):
+            raise ParameterError(
+                f"lattice extent overflows: {self.rows}x{self.cols} bumps at pitch "
+                f"{self.pitch_um} um"
+            )
 
     @property
     def bump_count(self) -> int:
@@ -142,6 +151,12 @@ class AdjacencyGraph:
         return len(self.edges)
 
 
+def _row_step(lattice: Lattice) -> float:
+    if lattice.kind is LatticeKind.HEXAGONAL:
+        return lattice.pitch_um * math.sqrt(3.0) / 2.0
+    return lattice.pitch_um
+
+
 def build_bump_map(lattice: Lattice) -> BumpMap:
     """Realize lattice geometry: positions in micrometers, row-major ids.
 
@@ -149,7 +164,7 @@ def build_bump_map(lattice: Lattice) -> BumpMap:
     pitch*sqrt(3)/2 (close packing); rectangular lattices are a plain grid.
     """
     pitch = lattice.pitch_um
-    row_step = pitch * math.sqrt(3.0) / 2.0
+    row_step = _row_step(lattice)
     positions = []
     for r in range(lattice.rows):
         for c in range(lattice.cols):
@@ -161,11 +176,47 @@ def build_bump_map(lattice: Lattice) -> BumpMap:
 
 
 def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> AdjacencyGraph:
-    """Edges between every bump pair with Euclidean distance <= short_radius_um."""
-    if not short_radius_um > 0:
-        raise ParameterError(f"short radius must be positive, got {short_radius_um}")
-    tree = cKDTree(bump_map.positions)
-    pairs = tree.query_pairs(short_radius_um)
+    """Edges between every bump pair with Euclidean distance <= short_radius_um.
+
+    The map must hold the positions :func:`build_bump_map` gives its lattice.
+    Bumps on rows more than radius/row_step + 1 apart, or on columns more
+    than radius/pitch + 1 apart, are always farther apart than the radius
+    (the hexagonal row offset shifts columns by only half a pitch).  So each
+    bump is paired only with the bumps in its forward window: row offsets
+    0..floor(radius/row_step)+1 and column offsets within
+    +-(floor(radius/pitch)+1), clipped to the map, with positive column
+    offsets only on its own row.  A pair is an edge when
+    dx*dx + dy*dy <= radius*radius, with dx and dy taken from the stored
+    positions.  The radius must be positive with a normal, finite square.
+    """
+    limit = short_radius_um * short_radius_um
+    if not short_radius_um > 0 or not sys.float_info.min <= limit <= sys.float_info.max:
+        raise ParameterError(
+            "short radius must be positive and finite, between about 1.5e-154 and "
+            f"1.3e154 um, got {short_radius_um}"
+        )
+    lattice = bump_map.lattice
+    if bump_map.bump_count != lattice.bump_count:
+        raise ParameterError(
+            f"bump map holds {bump_map.bump_count} positions for a "
+            f"{lattice.rows}x{lattice.cols} lattice"
+        )
+    rows, cols = lattice.rows, lattice.cols
+    dr_max = int(min(rows - 1, short_radius_um // _row_step(lattice) + 1))
+    dc_max = int(min(cols - 1, short_radius_um // lattice.pitch_um + 1))
+    xs = [x for x, _ in bump_map.positions]
+    ys = [y for _, y in bump_map.positions]
+    pairs = []
+    for dr in range(dr_max + 1):
+        for dc in range(-dc_max if dr else 1, dc_max + 1):
+            offset = dr * cols + dc
+            c_lo, c_hi = max(0, -dc), min(cols, cols - dc)
+            for row_start in range(0, (rows - dr) * cols, cols):
+                for a in range(row_start + c_lo, row_start + c_hi):
+                    dx = xs[a + offset] - xs[a]
+                    dy = ys[a + offset] - ys[a]
+                    if dx * dx + dy * dy <= limit:
+                        pairs.append((a, a + offset))
     return AdjacencyGraph(pairs, short_radius_um)
 
 

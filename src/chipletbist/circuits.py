@@ -186,7 +186,10 @@ def build_faulty_circuit(
 def _format_value(value: float) -> str:
     """Scientific notation, mantissa with 6 fractional digits, bare exponent."""
     exponent = math.floor(math.log10(value))
-    mantissa = value / 10.0**exponent
+    # Below 1e-307, 10**exponent is itself subnormal (or 0 at -324): scale
+    # value and divisor up by 10**300 so the division keeps full precision.
+    shift = 300 if exponent < -307 else 0
+    mantissa = value * 10.0**shift / 10.0**(exponent + shift)
     text = f"{mantissa:.6f}"
     if text.startswith("10."):
         exponent += 1

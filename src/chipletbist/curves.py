@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import FitError, InversionError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_POLYNOMIAL_DEGREE = 3
 BISECTION_MAX_ITERATIONS = 200
@@ -63,6 +64,8 @@ class SeverityCurve:
 
 def _solve_normal_equations(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # LU with partial pivoting via LAPACK; singular designs raise.
+    import numpy as np
+
     gram = design.T @ design
     try:
         coefficients = np.linalg.solve(gram, design.T @ rhs)
@@ -91,6 +94,8 @@ def fit_severity_curve(
         raise FitError(
             f"{family.value} fit needs >= {n_coefficients} samples, got {len(samples)}"
         )
+    import numpy as np
+
     x = np.asarray([s[0] for s in samples], dtype=float)
     y = np.asarray([s[1] for s in samples], dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -146,6 +151,8 @@ def _polynomial_is_monotone(curve: SeverityCurve) -> bool:
         return False  # constant
     breakpoints = {curve.x_min, curve.x_max}
     if len(derivative) > 1:
+        import numpy as np
+
         for root in np.roots(list(reversed(derivative))):
             if abs(root.imag) < 1e-9 and curve.x_min < root.real < curve.x_max:
                 breakpoints.add(float(root.real))

@@ -1,6 +1,9 @@
 """Tests for lattice geometry, adjacency, coloring, and block partitioning."""
 
+import hashlib
+import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +35,18 @@ def rect_lattice(rows, cols, pitch=PITCH):
 
 @pytest.mark.parametrize(
     "rows,cols,pitch",
-    [(0, 3, 20.0), (3, 0, 20.0), (-1, 3, 20.0), (3, 3, 0.0), (3, 3, -5.0)],
+    [
+        (0, 3, 20.0),
+        (3, 0, 20.0),
+        (-1, 3, 20.0),
+        (3, 3, 0.0),
+        (3, 3, -5.0),
+        (3, 3, math.inf),
+        (3, 3, math.nan),
+        (16, 16, 1e308),  # the extent cols*pitch overflows
+        (1, 2, 1e308),
+        (2, 1, 1e308),
+    ],
 )
 def test_lattice_rejects_invalid_dimensions(rows, cols, pitch):
     with pytest.raises(ParameterError):
@@ -68,9 +82,65 @@ def test_row_major_bump_ids():
 
 def test_short_radius_must_be_positive():
     bump_map = build_bump_map(rect_lattice(2, 2))
-    for radius in (0.0, -1.0):
+    # 1e300 and 1e-160 have squares that overflow or underflow.
+    for radius in (0.0, -1.0, math.inf, math.nan, 1e300, 1e-160):
         with pytest.raises(ParameterError):
             potential_short_graph(bump_map, radius)
+
+
+def test_short_graph_rejects_positions_not_matching_lattice():
+    bump_map = build_bump_map(rect_lattice(2, 2))
+    short = replace(bump_map, positions=bump_map.positions[:3])
+    with pytest.raises(ParameterError):
+        potential_short_graph(short, 1.5 * PITCH)
+
+
+# Edge count and SHA-256 of repr(sorted(edges)) at pitch 20, as the k-d tree
+# (scipy cKDTree.query_pairs) gave them before the lattice-window scan.
+EDGE_FINGERPRINTS = [
+    ("hexagonal", 64, 1.0, 8985, "267e97d7db48a3c1b3a62d8898683c21d6c750c2cf2c6e413400eacf2aa9562a"),
+    ("hexagonal", 64, 1.5, 12033, "288dbce75b8d044c4a20f8e7fc9faeaed2b286dcbb380353b40230580af71bad"),
+    ("hexagonal", 64, 1.9, 23876, "8f350864dab7337e3b53bc9e91ae93ab7aeeff443771f662cbc3a194d1987dc3"),
+    ("hexagonal", 64, 2.0, 32128, "bf5534d7f9377888356ee66759fd363a16b67a4d4690f1b909e8f56423c71470"),
+    ("rectangular", 64, 1.0, 8064, "4093194e86260f0137cd413d98eb3d1146bdf425a21d0142df274c483bf2505c"),
+    ("rectangular", 64, 1.5, 16002, "c1baae32af6db2aa0981a496edf74fb6bc43587d29cd4e73205e9cf03f546a6c"),
+    ("rectangular", 64, 1.9, 16002, "c1baae32af6db2aa0981a496edf74fb6bc43587d29cd4e73205e9cf03f546a6c"),
+    ("rectangular", 64, 2.0, 23938, "3d91ff7c1003679b1622bbbcc13b75b74b9b5da749174216d5da059dd3fd0ca1"),
+    ("hexagonal", 128, 1.9, 96900, "5bc60f455d1a2531d9206e185659147bffcfd8e0a4f9ff8c270265add240bb5c"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,side,factor,count,digest",
+    EDGE_FINGERPRINTS,
+    ids=[f"{kind}-{side}-{factor}" for kind, side, factor, _, _ in EDGE_FINGERPRINTS],
+)
+def test_short_graph_edge_set_is_pinned(kind, side, factor, count, digest):
+    lattice = Lattice(LatticeKind(kind), side, side, PITCH)
+    graph = potential_short_graph(build_bump_map(lattice), factor * PITCH)
+    assert graph.edge_count == count
+    assert hashlib.sha256(repr(sorted(graph.edges)).encode()).hexdigest() == digest
+
+
+def brute_force_edges(bump_map, radius):
+    limit = radius * radius
+    edges = set()
+    for (a, (xa, ya)), (b, (xb, yb)) in itertools.combinations(enumerate(bump_map.positions), 2):
+        if (xb - xa) * (xb - xa) + (yb - ya) * (yb - ya) <= limit:
+            edges.add((a, b))
+    return edges
+
+
+@pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("pitch", [20.0, 1 / 3, 7.3])
+@pytest.mark.parametrize(
+    "factor", [0.5, 1.0, math.sqrt(2.0), 1.5, math.sqrt(3.0), 1.9, 2.0, 2.5, 3.0]
+)
+def test_short_graph_matches_all_pairs_scan(kind, pitch, factor):
+    for rows, cols in [(1, 1), (1, 9), (9, 1), (6, 7), (20, 20)]:
+        bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
+        graph = potential_short_graph(bump_map, factor * pitch)
+        assert graph.edges == brute_force_edges(bump_map, factor * pitch), (rows, cols)
 
 
 def test_radius_below_pitch_gives_empty_graph():
@@ -144,6 +214,19 @@ def test_periodic_tiling_proper_on_interior_12_neighborhoods():
     for r in range(2, 62):
         for c in range(2, 62):
             assert graph.degree(r * 64 + c) == 12
+
+
+def test_coloring_falls_back_to_periodic_tiling():
+    # Crown graph between tiling classes 0 (even row, col 0) and 3 (odd row,
+    # col 1) of a 10x2 rect lattice: a_i = 4i and b_i = 4i + 3 interleave in
+    # id order, a_i ~ b_j for i != j.  Greedy gives a_i and b_i color i and
+    # needs a 5th color at a_4; the tiling keeps the two classes apart.
+    lattice = rect_lattice(10, 2)
+    crown = AdjacencyGraph((4 * i, 4 * j + 3) for i in range(5) for j in range(5) if i != j)
+    colored = assign_codewords(build_bump_map(lattice), crown)
+    assert colored.coloring == periodic_tiling_coloring(lattice)
+    assert coloring_violations(colored.coloring, crown) == ()
+    assert colored.coloring[1] is Color.BLUE  # isolated; greedy would give GREEN
 
 
 def test_coloring_failure_is_loud():

@@ -196,3 +196,19 @@ def test_netlist_number_format_edge_cases():
     deck = emit_netlist(circuit, "x")
     assert "R1 in out 2.000000e2" in deck
     assert "C1 out gnd 1.000000e-15" in deck  # mantissa rounding carries into the exponent
+
+
+def test_netlist_number_format_subnormals():
+    circuit = EquivalentCircuit(
+        (
+            CircuitElement("R", "1", "in", "m", 5e-324),
+            CircuitElement("R", "2", "m", "out", 1.2345e-315),
+            CircuitElement("C", "1", "out", "gnd", 9.9999999e-309),
+            CircuitElement("C", "2", "out", "gnd", 2.5e-307),
+        )
+    )
+    deck = emit_netlist(circuit, "x")
+    assert "R1 in m 4.940656e-324\n" in deck  # the smallest double
+    assert "R2 m out 1.234500e-315\n" in deck
+    assert "C1 out gnd 1.000000e-308\n" in deck  # rounding carries into the exponent
+    assert "C2 out gnd 2.500000e-307\n" in deck

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,9 @@ import pytest
 
 import chipletbist
 from chipletbist.cli import main
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +182,23 @@ def test_netlist_non_finite_value_exits_1(capsys, flags):
     assert "finite" in err
 
 
+def test_netlist_subnormal_value(capsys):
+    status, out, _ = run_cli(
+        capsys,
+        "netlist",
+        "--component",
+        "cu-pillar",
+        "--defect",
+        "crack",
+        "--rf-ohm",
+        "5e-324",
+        "--cf-farad",
+        "1e-15",
+    )
+    assert status == 0
+    assert "\nR2 m1 m2 4.940656e-324\n" in out
+
+
 def test_fit_from_csv(tmp_path, capsys):
     csv_path = tmp_path / "samples.csv"
     rows = ["x,y"] + [f"{x},{5.0 * 2.718281828459045 ** (0.5 * x)}" for x in range(4)]
@@ -196,6 +218,44 @@ def test_fit_underdetermined_exits_1(tmp_path, capsys):
         capsys, "fit", "--csv", str(csv_path), "--family", "polynomial", "--degree", "3"
     )
     assert status == 1
+
+
+# SHA-256 of the stdout bytes of `fit --csv configs/synthetic_bridge_severity.csv`.
+FIT_OUTPUT_SHA256 = {
+    ("log-linear", "3"): "1ce47e031f699944fdcb8ce5395b6a2e897cb89919d1cee1b79bafe784f5f03e",
+    ("exponential", "3"): "4688422f18799e24e0de1ca7085aaec675857f1846d6373474610a763446bdd1",
+    ("polynomial", "3"): "88fce40966d5635799363e452abdecbbeb59ae66d747a0959c1a95b0306ceed0",
+    ("polynomial", "1"): "336988905530ebaaccbe9d8c6e11c805f5fde5045198689dd965dab673b4d2b9",
+}
+
+
+@pytest.mark.parametrize("family,degree", sorted(FIT_OUTPUT_SHA256))
+def test_fit_shipped_samples_output_bytes(capsys, family, degree):
+    csv_path = REPO / "configs" / "synthetic_bridge_severity.csv"
+    status, out, _ = run_cli(
+        capsys, "fit", "--csv", str(csv_path), "--family", family, "--degree", degree
+    )
+    assert status == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == FIT_OUTPUT_SHA256[family, degree], out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--pitch-um", "inf"),
+        ("--pitch-um", "1e308"),
+        ("--pitch-um", "20", "--radius-factor", "inf"),
+    ],
+    ids=["pitch-inf", "extent-overflows", "radius-inf"],
+)
+def test_gen_map_unbuildable_geometry_exits_1(capsys, flags):
+    status, out, err = run_cli(
+        capsys, "gen-map", "--kind", "hexagonal", "--rows", "16", "--cols", "16", *flags
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_gen_map_writes_valid_payload(tmp_path, capsys):
@@ -284,6 +344,25 @@ def test_simulate_invalid_config_exits_1(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("pitch_um", math.inf), ("pitch_um", 1e308), ("short_radius_factor", math.inf)],
+    ids=["pitch-inf", "extent-overflows", "radius-inf"],
+)
+def test_simulate_unbuildable_geometry_exits_1(tmp_path, capsys, key, value):
+    bad = json.loads(json.dumps(CONFIG))
+    bad["map"][key] = value  # json.dumps writes inf as Infinity
+    config_path = write_config(tmp_path, bad)
+    report_path = tmp_path / "report.json"
+    status, out, err = run_cli(
+        capsys, "simulate", "--config", config_path, "--out", str(report_path)
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not report_path.exists()
+
+
 def test_simulate_uncolorable_radius_exits_2(tmp_path, capsys):
     bad = json.loads(json.dumps(CONFIG))
     bad["map"]["short_radius_factor"] = 2.5  # includes the 2*pitch ring: not 4-colorable
@@ -369,3 +448,21 @@ def test_python_m_cli_runs_dictionary():
     )
     assert proc.returncode == 0, proc.stderr
     assert "87/91" in proc.stdout
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    src = str(Path(chipletbist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, chipletbist.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
