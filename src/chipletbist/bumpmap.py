@@ -25,6 +25,10 @@ from .errors import ColoringError, ParameterError
 # 2*pitch ring; any factor in [sqrt(3), 2) yields the same 12-neighborhood.
 DEFAULT_SHORT_RADIUS_FACTOR = 1.9
 
+# Largest lattice (rows * cols) accepted, checked before anything allocates;
+# a typo such as 100000x100000 would otherwise exhaust memory.
+MAX_BUMPS = 512 * 512
+
 
 class LatticeKind(Enum):
     HEXAGONAL = "hexagonal"
@@ -57,6 +61,10 @@ class Lattice:
         if self.rows < 1 or self.cols < 1:
             raise ParameterError(
                 f"lattice needs rows >= 1 and cols >= 1, got {self.rows}x{self.cols}"
+            )
+        if self.rows * self.cols > MAX_BUMPS:
+            raise ParameterError(
+                f"lattice {self.rows}x{self.cols} has more than the {MAX_BUMPS} bumps allowed"
             )
         if not 0 < self.pitch_um < math.inf:
             raise ParameterError(

@@ -11,6 +11,7 @@ given (seed, config) pair always yields the same fault list.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -41,8 +42,8 @@ from .bumpmap import (
     potential_short_graph,
 )
 from .diagnosis import (
-    BridgeCandidate,
     BumpDiagnosis,
+    Candidate,
     FaultDictionary,
     build_fault_dictionary,
     diagnosability,
@@ -117,11 +118,11 @@ def _weights(value: Any, where: str, allowed: set[str]) -> dict[str, float]:
         raise ParameterError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
     weights = {}
     for key, raw in value.items():
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw < 0:
-            raise ParameterError(f"{where}.{key}: weights must be non-negative numbers")
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0 <= raw < math.inf:
+            raise ParameterError(f"{where}.{key}: weights must be finite non-negative numbers")
         weights[key] = float(raw)
-    if sum(weights.values()) <= 0:
-        raise ParameterError(f"{where}: weights must not all be zero")
+    if not 0 < sum(weights.values()) < math.inf:
+        raise ParameterError(f"{where}: weights must sum to a positive, finite number")
     return weights
 
 
@@ -152,10 +153,14 @@ def fault_from_dict(data: dict, where: str = "fault") -> Fault:
     raise ParameterError(f"{where}.kind: expected 'sa0', 'sa1', or 'bridge', got {kind!r}")
 
 
-def fault_to_dict(fault: Fault) -> dict:
+def fault_to_dict(fault: Fault | Candidate) -> dict:
+    """Wire form of a fault or a diagnosis candidate (a bridge candidate has no behavior)."""
     if isinstance(fault, StuckAt):
         return {"kind": f"sa{fault.value}", "net": fault.net}
-    return {"kind": "bridge", "a": fault.a, "b": fault.b, "behavior": fault.behavior.value}
+    wire = {"kind": "bridge", "a": fault.a, "b": fault.b}
+    if isinstance(fault, Bridge):
+        wire["behavior"] = fault.behavior.value
+    return wire
 
 
 def parse_config(data: dict) -> CampaignConfig:
@@ -246,7 +251,8 @@ def load_config(path) -> CampaignConfig:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not UTF-8.
             raise ParameterError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(data)
 
@@ -302,7 +308,12 @@ def sample_faults(
     rng = random.Random(sampler.seed)
     w_sa = sampler.kind_mix.get("sa", 0.0)
     w_bridge = sampler.kind_mix.get("bridge", 0.0)
-    n_bridge = round(sampler.n_faults * w_bridge / (w_sa + w_bridge))
+    try:
+        n_bridge = round(sampler.n_faults * w_bridge / (w_sa + w_bridge))
+    except OverflowError:
+        raise ParameterError(
+            f"cannot split {sampler.n_faults} faults by the kind mix: the product overflows"
+        ) from None
     n_sa = sampler.n_faults - n_bridge
 
     sa_population = 2 * bump_map.bump_count
@@ -336,28 +347,14 @@ def _response_to_list(response: DetectorResponse) -> list[int]:
 
 
 def diagnosis_to_dict(entry: BumpDiagnosis, block: int) -> dict:
-    candidates = []
-    for candidate in entry.candidates:
-        if isinstance(candidate, StuckAt):
-            candidates.append({"kind": f"sa{candidate.value}", "net": candidate.net})
-        else:
-            candidates.append({"kind": "bridge", "a": candidate.a, "b": candidate.b})
     return {
         "block": block,
         "bump": entry.bump,
         "color": entry.color.value,
         "response": _response_to_list(entry.response),
         "unmodeled": entry.unmodeled,
-        "candidates": candidates,
+        "candidates": [fault_to_dict(candidate) for candidate in entry.candidates],
     }
-
-
-def _candidate_matches(candidate, fault: Fault) -> bool:
-    if isinstance(candidate, StuckAt) and isinstance(fault, StuckAt):
-        return candidate == fault
-    if isinstance(candidate, BridgeCandidate) and isinstance(fault, Bridge):
-        return (candidate.a, candidate.b) == (fault.a, fault.b)
-    return False
 
 
 def _fault_local_failing(bump_map: BumpMap, fault: Fault) -> FailingBumps:
@@ -464,17 +461,13 @@ def run_campaign(config: CampaignConfig) -> dict:
             for block, bump, response in failing_bumps
         ]
         detected = bool(failing)
-        entries = [
-            (report.block, entry)
-            for report in _local_reports(failing_bumps, bump_map, graph)
-            for entry in diagnose(report, bump_map, graph, dictionary)
-        ]
-        diagnosis = [diagnosis_to_dict(entry, block) for block, entry in entries]
-        hit = any(
-            _candidate_matches(candidate, fault)
-            for _, entry in entries
-            for candidate in entry.candidates
-        )
+        reports = _local_reports(failing_bumps, bump_map, graph)
+        diagnosis = diagnose_reports(reports, bump_map, graph, dictionary)
+        # A candidate names the fault when it matches the fault's wire form
+        # with the bridge behavior folded away.
+        wire = fault_to_dict(fault)
+        wire.pop("behavior", None)
+        hit = any(wire in entry["candidates"] for entry in diagnosis)
         inter_block = None
         if isinstance(fault, Bridge):
             inter_block = bump_map.blocks[fault.a] != bump_map.blocks[fault.b]

@@ -14,11 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .bumpmap import (
-    COLOR_ORDER,
-    DEFAULT_SHORT_RADIUS_FACTOR,
-    Lattice,
-    LatticeKind,
+from .bumpmap import COLOR_ORDER, DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind
+# Unused here: perfbench/tracer.py times the map stages by wrapping these names on this module.
+from .bumpmap import (  # noqa: F401
     assign_codewords,
     build_bump_map,
     partition_blocks,
@@ -26,6 +24,9 @@ from .bumpmap import (
 )
 from .campaign import (
     SCHEMA_VERSION,
+    CampaignConfig,
+    MapSpec,
+    build_campaign_map,
     canonical_json,
     load_config,
     rediagnose_report,
@@ -62,11 +63,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_gen_map(args) -> int:
-    lattice = Lattice(LatticeKind(args.kind), args.rows, args.cols, args.pitch_um)
-    bump_map = build_bump_map(lattice)
-    graph = potential_short_graph(bump_map, args.radius_factor * args.pitch_um)
-    bump_map = assign_codewords(bump_map, graph)
-    bump_map = partition_blocks(bump_map, args.blocks)
+    spec = MapSpec(LatticeKind(args.kind), args.rows, args.cols, args.pitch_um, args.radius_factor)
+    bump_map, graph = build_campaign_map(CampaignConfig(spec, args.blocks))
+    lattice = bump_map.lattice
     payload = {
         "version": SCHEMA_VERSION,
         "lattice": {
@@ -75,7 +74,7 @@ def _cmd_gen_map(args) -> int:
             "cols": lattice.cols,
             "pitch_um": lattice.pitch_um,
         },
-        "short_radius_um": args.radius_factor * args.pitch_um,
+        "short_radius_um": graph.short_radius_um,
         "positions": [list(p) for p in bump_map.positions],
         "colors": [c.value for c in bump_map.coloring],
         "blocks": list(bump_map.blocks),
@@ -154,12 +153,9 @@ def _cmd_simulate(args) -> int:
             raise ParameterError("--seed override requires a sampler-based config")
         config = replace(config, sampler=replace(config.sampler, seed=args.seed))
     report = run_campaign(config)
-    text = canonical_json(report)
     out = args.out or config.output_report
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    _write_output(canonical_json(report), out)
+    if out is not None:
         metrics = report["metrics"]
         if args.format == "csv":
             rate = metrics["detection_rate"]
@@ -179,7 +175,8 @@ def _cmd_diagnose(args) -> int:
     with open(args.report, encoding="utf-8") as handle:
         try:
             report = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not UTF-8.
             raise ParameterError(f"{args.report}: invalid JSON ({exc})") from None
     _write_output(canonical_json(rediagnose_report(report)), args.out)
     return 0

@@ -211,22 +211,25 @@ def invert_severity(curve: SeverityCurve, y: float) -> float:
 
 def load_samples_csv(path: str | Path) -> list[tuple[float, float]]:
     """Read (x, y) samples from a CSV file with the exact header ``x,y``."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParameterError(f"{path}: empty samples file") from None
-        if [h.strip() for h in header] != ["x", "y"]:
-            raise ParameterError(f"{path}: expected header 'x,y', got {','.join(header)!r}")
-        samples = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParameterError(f"{path}:{line_no}: expected two columns, got {len(row)}")
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                samples.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{line_no}: {exc}") from None
+                header = next(reader)
+            except StopIteration:
+                raise ParameterError(f"{path}: empty samples file") from None
+            if [h.strip() for h in header] != ["x", "y"]:
+                raise ParameterError(f"{path}: expected header 'x,y', got {','.join(header)!r}")
+            samples = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ParameterError(f"{path}:{line_no}: expected two columns, got {len(row)}")
+                try:
+                    samples.append((float(row[0]), float(row[1])))
+                except ValueError as exc:
+                    raise ParameterError(f"{path}:{line_no}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return samples

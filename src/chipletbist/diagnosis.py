@@ -36,6 +36,7 @@ from .bumpmap import (
 )
 from .curves import SeverityCurve, eval_severity, invert_severity, is_strictly_monotone
 from .defects import (
+    _CLASSIFY_RULES,
     ComponentKind,
     FunctionalFaultClass,
     MagnitudeKind,
@@ -264,15 +265,10 @@ class DefectRangeEstimate:
     warning: str | None = None
 
 
+# One bound per functional class, read off the classifier's rule table.
 _CLASS_BOUNDS = {
-    FunctionalFaultClass.WIRED_AND: MagnitudeBound(MagnitudeKind.RESISTANCE, None, 200.0),
-    FunctionalFaultClass.SIGNAL_SA1: MagnitudeBound(MagnitudeKind.RESISTANCE, None, 500.0),
-    FunctionalFaultClass.SIGNAL_SA0: MagnitudeBound(MagnitudeKind.RESISTANCE, None, 600.0),
-    FunctionalFaultClass.OUTPUT_SA0: MagnitudeBound(MagnitudeKind.CAPACITANCE, 0.1e-15, 2e-6),
-    FunctionalFaultClass.OUTPUT_SA1: MagnitudeBound(MagnitudeKind.CAPACITANCE, 0.1e-15, 2e-6),
-    FunctionalFaultClass.WIRED_AND_OR_WIRED_OR: MagnitudeBound(
-        MagnitudeKind.CAPACITANCE, None, 10e-15
-    ),
+    fault_class: MagnitudeBound(kind, lower, upper)
+    for kind, lower, upper, fault_class in _CLASSIFY_RULES.values()
 }
 
 

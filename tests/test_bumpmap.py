@@ -13,6 +13,7 @@ from chipletbist.bumpmap import (
     DEFAULT_SHORT_RADIUS_FACTOR,
     Lattice,
     LatticeKind,
+    MAX_BUMPS,
     assign_codewords,
     build_bump_map,
     coloring_violations,
@@ -51,6 +52,13 @@ def rect_lattice(rows, cols, pitch=PITCH):
 def test_lattice_rejects_invalid_dimensions(rows, cols, pitch):
     with pytest.raises(ParameterError):
         Lattice(LatticeKind.RECTANGULAR, rows, cols, pitch)
+
+
+def test_lattice_bump_count_is_capped():
+    assert Lattice(LatticeKind.HEXAGONAL, 512, 512, 20.0).bump_count == MAX_BUMPS
+    for rows, cols in ((513, 512), (512, 513), (1, MAX_BUMPS + 1)):
+        with pytest.raises(ParameterError, match="bumps allowed"):
+            Lattice(LatticeKind.HEXAGONAL, rows, cols, 20.0)
 
 
 def test_single_bump_map():

@@ -435,6 +435,61 @@ def test_diagnose_rejects_malformed_failing_entry(tmp_path, capsys, edit):
     assert err.startswith("error: report.fault_results[") and err.count("\n") == 1
 
 
+def assert_one_line_error(status, out, err):
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+NOT_UTF8_JSON = b'\xff\xfe{"version": 1}'
+OVER_NESTED_JSON = b"[" * 200000
+
+
+@pytest.mark.parametrize("data", [NOT_UTF8_JSON, OVER_NESTED_JSON], ids=["not-utf8", "over-nested"])
+@pytest.mark.parametrize("command,flag", [("simulate", "--config"), ("diagnose", "--report")])
+def test_unreadable_json_input_exits_1(tmp_path, capsys, command, flag, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    assert_one_line_error(*run_cli(capsys, command, flag, str(path)))
+
+
+def test_fit_non_utf8_csv_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_bytes(b"x,y\n1,\xff\n")
+    status, out, err = run_cli(capsys, "fit", "--csv", str(csv_path), "--family", "exponential")
+    assert_one_line_error(status, out, err)
+    assert str(csv_path) in err
+
+
+def test_gen_map_oversized_lattice_exits_1(capsys):
+    assert_one_line_error(
+        *run_cli(
+            capsys, "gen-map", "--kind", "hexagonal", "--rows", "513", "--cols", "512",
+            "--pitch-um", "20",
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        {"kind_mix": {"sa": math.nan, "bridge": 1}},
+        {"kind_mix": {"sa": math.inf, "bridge": math.inf}},
+        {"kind_mix": {"sa": 1e308, "bridge": 1e308}},
+        {"behavior_mix": {"wired-and": math.inf, "wired-or": 1}},
+        {"kind_mix": {"sa": 1, "bridge": 1e308}},
+        {"n_faults": 10**400},
+    ],
+    ids=["weight-nan", "weights-inf", "weights-sum-overflows", "behavior-inf",
+         "split-overflows", "n-faults-past-float"],
+)
+def test_simulate_unsplittable_sampler_exits_1(tmp_path, capsys, sampler):
+    bad = json.loads(json.dumps(CONFIG))
+    bad["sampler"].update(sampler)
+    config_path = write_config(tmp_path, bad)  # json.dumps writes inf/nan as Infinity/NaN
+    assert_one_line_error(*run_cli(capsys, "simulate", "--config", config_path))
+
+
 def test_python_m_cli_runs_dictionary():
     src = str(Path(chipletbist.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

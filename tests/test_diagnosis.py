@@ -29,6 +29,7 @@ from chipletbist.curves import CurveFamily, SeverityCurve
 from chipletbist.defects import ComponentKind, FunctionalFaultClass, MagnitudeKind
 from chipletbist.diagnosis import (
     BridgeCandidate,
+    MagnitudeBound,
     QuadBridge,
     QuadStuckAt,
     build_fault_dictionary,
@@ -255,6 +256,35 @@ def test_power_open_interpretation_via_explicit_class():
     assert estimate.magnitude_bound.kind is MagnitudeKind.CAPACITANCE
     assert estimate.magnitude_bound.lower == 0.1e-15
     assert estimate.magnitude_bound.upper == 2e-6
+
+
+C, RES = MagnitudeKind.CAPACITANCE, MagnitudeKind.RESISTANCE
+
+
+@pytest.mark.parametrize(
+    "fault_class,kind,lower,upper",
+    [
+        (FunctionalFaultClass.WIRED_AND, RES, None, 200.0),
+        (FunctionalFaultClass.SIGNAL_SA1, RES, None, 500.0),
+        (FunctionalFaultClass.SIGNAL_SA0, RES, None, 600.0),
+        (FunctionalFaultClass.OUTPUT_SA0, C, 0.1e-15, 2e-6),
+        (FunctionalFaultClass.OUTPUT_SA1, C, 0.1e-15, 2e-6),
+        (FunctionalFaultClass.WIRED_AND_OR_WIRED_OR, C, None, 10e-15),
+    ],
+)
+def test_every_class_bound_is_the_paper_bound(fault_class, kind, lower, upper):
+    estimate = map_to_defect_range(
+        StuckAt(0, 0), ComponentKind.CU_PILLAR, functional_class=fault_class
+    )
+    assert estimate.magnitude_bound == MagnitudeBound(kind, lower, upper)
+
+
+@pytest.mark.parametrize(
+    "fault_class", [FunctionalFaultClass.WIRED_OR, FunctionalFaultClass.NO_HARD_FAULT]
+)
+def test_classes_without_a_classifier_rule_have_no_bound(fault_class):
+    with pytest.raises(ParameterError, match="no tabulated magnitude bound"):
+        map_to_defect_range(StuckAt(0, 0), ComponentKind.CU_PILLAR, functional_class=fault_class)
 
 
 def test_geometry_bound_from_decreasing_curve():
