@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
@@ -123,6 +124,9 @@ class AdjacencyGraph:
     """Undirected potential-short graph over bump ids.
 
     Edges are stored normalized (a < b), once each, with no self-loops.
+    Neighbour lists are ascending: they are filled in one pass over the
+    sorted edges, where every bump meets its lower neighbours (as ``b``)
+    before its higher ones (as ``a``), each group in ascending order.
     """
 
     def __init__(
@@ -130,20 +134,23 @@ class AdjacencyGraph:
         edges: Iterable[tuple[int, int]],
         short_radius_um: float | None = None,
     ) -> None:
-        normalized = set()
+        normalized = []
         for a, b in edges:
             if a == b:
                 raise ParameterError(f"self-loop edge on bump {a}")
             if a < 0 or b < 0:
                 raise ParameterError(f"negative bump id in edge ({a}, {b})")
-            normalized.add((a, b) if a < b else (b, a))
-        self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
+            normalized.append((a, b) if a < b else (b, a))
+        # Sorting the list, not the set, keeps the ascending runs an edge
+        # scan emits, which the sort merges; the dict then drops duplicates.
+        pairs = dict.fromkeys(sorted(normalized))
+        self.edges: frozenset[tuple[int, int]] = frozenset(pairs)
         self.short_radius_um = short_radius_um
-        nbrs: dict[int, set[int]] = {}
-        for a, b in self.edges:
-            nbrs.setdefault(a, set()).add(b)
-            nbrs.setdefault(b, set()).add(a)
-        self._neighbors = {b: tuple(sorted(s)) for b, s in nbrs.items()}
+        nbrs: defaultdict[int, list[int]] = defaultdict(list)
+        for a, b in pairs:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        self._neighbors = {b: tuple(s) for b, s in nbrs.items()}
 
     def neighbors(self, bump: int) -> tuple[int, ...]:
         return self._neighbors.get(bump, ())
@@ -277,10 +284,11 @@ def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:
     provided it is proper on the given graph.  A 5th color is never emitted
     silently.
     """
+    bump_count = bump_map.bump_count
     for a, b in graph.edges:
-        if b >= bump_map.bump_count:
+        if b >= bump_count:
             raise ParameterError(f"edge ({a}, {b}) references a bump outside the map")
-    coloring = _greedy_coloring(bump_map.bump_count, graph)
+    coloring = _greedy_coloring(bump_count, graph)
     if coloring is None:
         tiling = periodic_tiling_coloring(bump_map.lattice)
         if coloring_violations(tiling, graph):

@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 from .bist import (
@@ -531,9 +532,68 @@ def run_campaign(config: CampaignConfig) -> dict:
     }
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def canonical_json(obj: Any) -> str:
-    """Canonical serialization: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical serialization: sorted keys, 2-space indent, trailing newline.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``.  ``json`` writes indented text with its
+    pure-Python encoder, so this writer walks the containers itself and hands
+    each run of scalars to ``json`` unindented, which ``json`` encodes in C.
+    """
+    return _indented(obj, "\n") + "\n"
+
+
+def _indented(value: Any, newline: str) -> str:
+    """``value`` as indented JSON, for a level whose lines start with ``newline``."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _flat(value, "")
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    children = value.values() if isinstance(value, dict) else value
+    if _SCALAR_TYPES.issuperset(map(type, children)):
+        run = _flat(value, "," + inner)
+        return run[0] + inner + run[1:-1] + newline + run[-1]
+    if isinstance(value, dict):
+        body = (f"{_key(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if (
+        {list, tuple}.issuperset(map(type, value))
+        and all(value)
+        and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(value)))
+    ):
+        # One call at the inner lists' own indent.  Encoded strings hold no raw
+        # newline and no scalar ends in "]", so "],<deeper>[" only ever joins
+        # two inner lists; there the outer level's line breaks go in.
+        deeper = inner + "  "
+        run = _flat(value, "," + deeper)[2:-2]
+        body = run.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+        return "[" + inner + "[" + deeper + body + inner + "]" + newline + "]"
+    return "[" + inner + ("," + inner).join(_indented(v, inner) for v in value) + newline + "]"
+
+
+def _key(key: Any) -> str:
+    """A dict key as ``json`` writes it: other scalars are coerced to strings."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _flat(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _flat(value: Any, separator: str) -> str:
+    """``value`` in one encoder call: sorted keys, items joined by ``separator``.
+
+    A flat run holds scalars and lists of scalars, which cannot contain
+    themselves, so the circular-reference check would only cost time.
+    """
+    encoder = json.JSONEncoder(
+        ensure_ascii=False, check_circular=False, sort_keys=True, separators=(separator, ": ")
+    )
+    return encoder.encode(value)
 
 
 def _is_index(value: Any, size: int) -> bool:

@@ -75,11 +75,11 @@ def _cmd_gen_map(args) -> int:
             "pitch_um": lattice.pitch_um,
         },
         "short_radius_um": graph.short_radius_um,
-        "positions": [list(p) for p in bump_map.positions],
+        "positions": bump_map.positions,
         "colors": [c.value for c in bump_map.coloring],
-        "blocks": list(bump_map.blocks),
+        "blocks": bump_map.blocks,
         "block_count": bump_map.block_count,
-        "edges": [list(e) for e in sorted(graph.edges)],
+        "edges": sorted(graph.edges),
     }
     _write_output(canonical_json(payload), args.out)
     return 0
@@ -152,8 +152,10 @@ def _cmd_simulate(args) -> int:
         if config.sampler is None:
             raise ParameterError("--seed override requires a sampler-based config")
         config = replace(config, sampler=replace(config.sampler, seed=args.seed))
-    report = run_campaign(config)
     out = args.out or config.output_report
+    if args.format == "csv" and out is None:
+        raise ParameterError("--format csv needs --out or output.report in the config")
+    report = run_campaign(config)
     _write_output(canonical_json(report), out)
     if out is not None:
         metrics = report["metrics"]

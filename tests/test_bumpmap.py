@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -190,6 +191,37 @@ def test_graph_is_symmetric_and_irreflexive():
 def test_adjacency_rejects_self_loops():
     with pytest.raises(ParameterError):
         AdjacencyGraph([(2, 2)])
+
+
+def test_adjacency_from_duplicated_reversed_shuffled_edges():
+    rng = random.Random(7)
+    base = {tuple(sorted(rng.sample(range(40), 2))) for _ in range(150)}
+    edges = [*base, *((b, a) for a, b in base), *list(base)[::3]]
+    rng.shuffle(edges)
+    graph = AdjacencyGraph(edges)
+    assert graph.edges == frozenset(base)
+    assert graph.edge_count == len(base)
+    for bump in range(41):
+        expected = {b for a, b in base if a == bump} | {a for a, b in base if b == bump}
+        neighbors = graph.neighbors(bump)
+        assert list(neighbors) == sorted(expected)
+        assert graph.degree(bump) == len(expected)
+        assert all(graph.has_edge(bump, n) and graph.has_edge(n, bump) for n in neighbors)
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(1, 2), (5, 5), (3, -1), (4, 4)], "self-loop edge on bump 5"),
+        ([(2, 1), (3, -1), (5, 5), (-4, 0)], "negative bump id in edge (3, -1)"),
+        ([(0, 1), (-2, -2), (-3, 1)], "self-loop edge on bump -2"),
+        ([(9, 8), (8, 9), (-3, 1), (3, -1)], "negative bump id in edge (-3, 1)"),
+    ],
+)
+def test_adjacency_names_the_first_bad_edge_in_input_order(edges, message):
+    with pytest.raises(ParameterError) as excinfo:
+        AdjacencyGraph(edges)
+    assert str(excinfo.value) == message
 
 
 def test_empty_graph_colors_everything_green():

@@ -1,8 +1,12 @@
 """Tests for campaign config validation, fault sampling, and report generation."""
 
 import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipletbist.bist import Bridge, BridgeBehavior, StuckAt
 from chipletbist.bumpmap import LatticeKind
@@ -249,3 +253,59 @@ def test_inter_block_wired_or_escapes():
     metrics = report["metrics"]["inter_block_wired_or"]
     assert metrics == {"injected": 1, "escaped": 1, "escape_rate": 1.0}
     assert report["metrics"]["escapes"] == [result["fault"]]
+
+
+# Text built to trip a hand-written writer: brackets, commas and quotes that
+# look like structure, escapes, control characters and non-ASCII text.
+json_text = st.text(
+    st.sampled_from('[],"\\\n\t\x00\x1f\x7f :aé€😀\u2028'), max_size=6
+) | st.text(max_size=4)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(10**30), math.nan, math.inf, -math.inf, -0.0, 1e-320])
+    | st.floats()
+    | json_text
+)
+# Keys of one kind per dict, so that most dicts sort.  Both writers must
+# raise TypeError on str mixed with numbers (unsortable) and on tuple keys.
+key_kinds = st.sampled_from(
+    [
+        json_text,
+        st.integers() | st.booleans() | st.floats(),
+        st.none(),
+        json_text | st.integers(),
+        st.tuples(st.integers()),
+    ]
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.lists(st.lists(json_scalars, max_size=3), max_size=4)
+    | st.lists(st.lists(json_scalars, min_size=1, max_size=3).map(tuple), max_size=4)
+    | key_kinds.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _text_or_error(encode, value):
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "make_encoder", [json.encoder.c_make_encoder, None], ids=["c-encoder", "no-c-encoder"]
+)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(value=json_trees)
+def test_canonical_json_equals_json_dumps(make_encoder, value):
+    with mock.patch.object(json.encoder, "c_make_encoder", make_encoder):
+        got = _text_or_error(canonical_json, value)
+    want = _text_or_error(
+        lambda v: json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False) + "\n", value
+    )
+    assert got == want

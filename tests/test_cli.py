@@ -325,6 +325,25 @@ def test_simulate_csv_metrics(tmp_path, capsys):
     assert lines[1].split(",")[0] == "12"
 
 
+def test_simulate_csv_without_report_path_exits_1(tmp_path, capsys):
+    # Without a report path the report itself would go to stdout, leaving no
+    # room for the CSV row the flag asks for.
+    config_path = write_config(tmp_path, CONFIG)
+    status, out, err = run_cli(capsys, "simulate", "--config", config_path, "--format", "csv")
+    assert status == 1
+    assert out == ""
+    assert err == "error: --format csv needs --out or output.report in the config\n"
+
+
+def test_simulate_csv_with_config_report_path(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    config_path = write_config(tmp_path, {**CONFIG, "output": {"report": str(report_path)}})
+    status, out, _ = run_cli(capsys, "simulate", "--config", config_path, "--format", "csv")
+    assert status == 0
+    assert out.splitlines()[0] == "injected,detected,detection_rate,inter_block_wired_or_escape_rate"
+    assert json.loads(report_path.read_text(encoding="utf-8"))["metrics"]["injected"] == 12
+
+
 def test_simulate_empty_fault_list_reports_na(tmp_path, capsys):
     config = {k: v for k, v in CONFIG.items() if k != "sampler"}
     config["faults"] = []
