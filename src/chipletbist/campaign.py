@@ -322,7 +322,7 @@ def sample_faults(
         raise ParameterError(
             f"requested {n_sa} stuck-at faults but only {sa_population} exist"
         )
-    edges = sorted(graph.edges)
+    edges = graph.sorted_edges
     if not sampler.include_inter_block:
         if bump_map.blocks is None:
             raise ParameterError("map must be blocked to exclude inter-block edges")

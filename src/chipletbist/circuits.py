@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from .defects import ComponentKind, PhysicalDefect, nominal_parasitics
 from .errors import ParameterError
 
-RESERVED_NODES = ("in", "out", "gnd")
-
 
 @dataclass(frozen=True)
 class CircuitElement:

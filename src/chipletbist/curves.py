@@ -2,9 +2,11 @@
 
 Three families cover the shapes seen in extracted defect parasitics:
 log-linear y = a + b*ln(x), exponential y = a*e^(b*x), and polynomials up to
-degree 3.  Fitting is least squares throughout: the two transcendental
-families via linearization, polynomials via the normal equations solved with
-LU elimination with partial pivoting.  Monotone curves invert by bisection,
+degree 3.  Every family is fitted as one least-squares polynomial in a
+transformed variable: log-linear is degree 1 in ln x, exponential is degree 1
+in x fitted against ln y, and a polynomial is degree d in x.  The normal
+equations are summed with ``math.fsum`` and solved by LU elimination with
+partial pivoting, in plain Python.  Monotone curves invert by bisection,
 which turns magnitude bounds into defect-geometry bounds.
 """
 
@@ -12,19 +14,19 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import FitError, InversionError, ParameterError
 
-if TYPE_CHECKING:
-    import numpy as np
-
 MAX_POLYNOMIAL_DEGREE = 3
 BISECTION_MAX_ITERATIONS = 200
-BISECTION_SPAN_TOLERANCE = 1e-12  # times the domain span
+
+_NON_FINITE = "degenerate samples: fit produced non-finite coefficients"
+_SINGULAR = "degenerate samples: normal equations are singular (Singular matrix)"
 
 
 class CurveFamily(Enum):
@@ -62,17 +64,57 @@ class SeverityCurve:
             raise ParameterError("log-linear domain must be strictly positive")
 
 
-def _solve_normal_equations(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # LU with partial pivoting via LAPACK; singular designs raise.
-    import numpy as np
+def _lu_solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    # LU elimination with partial pivoting on the augmented matrix, then back
+    # substitution; an exactly zero pivot means the matrix is singular.
+    n = len(rhs)
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[pivot][k] == 0:
+            raise FitError(_SINGULAR)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for row in rows[k + 1:]:
+            factor = row[k] / rows[k][k]
+            for j in range(k, n + 1):
+                row[j] -= factor * rows[k][j]
+    # An explicit loop, not sum(): sum() of floats is compensated from 3.12 on.
+    solution = [0.0] * n
+    for k in reversed(range(n)):
+        value = rows[k][n]
+        for j in range(k + 1, n):
+            value -= rows[k][j] * solution[j]
+        solution[k] = value / rows[k][k]
+    return solution
 
-    gram = design.T @ design
+
+def _least_squares_polynomial(
+    t: Sequence[float], z: Sequence[float], n_coefficients: int
+) -> list[float]:
+    """Ascending coefficients c minimizing sum (z - sum_k c_k t^k)^2.
+
+    The columns 1, t, t^2, ... are built by repeated multiplication and every
+    normal-equation entry is a ``math.fsum`` (exactly rounded), so the fit
+    uses only IEEE-754 basic operations and gives the same bits everywhere.
+    Fewer distinct t values than coefficients make the normal equations
+    singular in exact arithmetic, so that is rejected up front rather than
+    left to rounding.
+    """
+    if len(set(t)) < n_coefficients:
+        raise FitError(_SINGULAR)
+    columns = [[1.0] * len(t)]
+    for _ in range(1, n_coefficients):
+        columns.append([p * v for p, v in zip(columns[-1], t)])
     try:
-        coefficients = np.linalg.solve(gram, design.T @ rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"degenerate samples: normal equations are singular ({exc})") from exc
-    if not np.all(np.isfinite(coefficients)):
-        raise FitError("degenerate samples: fit produced non-finite coefficients")
+        gram = [[math.fsum(map(operator.mul, a, b)) for b in columns] for a in columns]
+        moments = [math.fsum(map(operator.mul, a, z)) for a in columns]
+    except (OverflowError, ValueError):  # fsum overflowed, or met inf - inf
+        raise FitError(_NON_FINITE) from None
+    if not all(map(math.isfinite, moments + [g for row in gram for g in row])):
+        raise FitError(_NON_FINITE)
+    coefficients = _lu_solve(gram, moments)
+    if not all(map(math.isfinite, coefficients)):
+        raise FitError(_NON_FINITE)
     return coefficients
 
 
@@ -94,33 +136,30 @@ def fit_severity_curve(
         raise FitError(
             f"{family.value} fit needs >= {n_coefficients} samples, got {len(samples)}"
         )
-    import numpy as np
-
-    x = np.asarray([s[0] for s in samples], dtype=float)
-    y = np.asarray([s[1] for s in samples], dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    x = [float(s[0]) for s in samples]
+    y = [float(s[1]) for s in samples]
+    if not all(map(math.isfinite, x + y)):
         raise FitError("samples contain non-finite values")
-    x_min, x_max = float(x.min()), float(x.max())
+    x_min, x_max = min(x), max(x)
     if x_min == x_max:
         raise FitError("all sample x values are identical; domain would be empty")
 
     if family is CurveFamily.LOG_LINEAR:
-        if not np.all(x > 0):
+        if not x_min > 0:
             raise FitError("log-linear fit needs x > 0")
-        design = np.column_stack([np.ones_like(x), np.log(x)])
-        a, b = _solve_normal_equations(design, y)
-        coefficients = (float(a), float(b))
+        coefficients = _least_squares_polynomial([math.log(v) for v in x], y, 2)
     elif family is CurveFamily.EXPONENTIAL:
-        if not np.all(y > 0):
+        if not min(y) > 0:
             raise FitError("exponential fit needs y > 0")
-        design = np.column_stack([np.ones_like(x), x])
-        log_a, b = _solve_normal_equations(design, np.log(y))
-        coefficients = (float(math.exp(log_a)), float(b))
+        log_a, b = _least_squares_polynomial(x, [math.log(v) for v in y], 2)
+        try:
+            coefficients = [math.exp(log_a), b]
+        except OverflowError:
+            raise FitError(_NON_FINITE) from None
     else:
-        design = np.vander(x, n_coefficients, increasing=True)
-        coefficients = tuple(float(c) for c in _solve_normal_equations(design, y))
+        coefficients = _least_squares_polynomial(x, y, n_coefficients)
 
-    return SeverityCurve(family, coefficients, x_min, x_max)
+    return SeverityCurve(family, tuple(coefficients), x_min, x_max)
 
 
 def _eval_unchecked(curve: SeverityCurve, x: float) -> float:
@@ -145,17 +184,34 @@ def eval_severity(curve: SeverityCurve, x: float) -> float:
     return _eval_unchecked(curve, x)
 
 
+def _real_roots(coefficients: Sequence[float]) -> list[float]:
+    """Real roots of c0 + c1*t + c2*t^2 (ascending, at most three coefficients).
+
+    Closed form with the stable quadratic formula: q = -(c1 + sign(c1)*sqrt(D))/2
+    gives the roots q/c2 and c0/q without cancellation.  A zero leading
+    coefficient lowers the degree; a double root is listed twice.
+    """
+    scale = max(map(abs, coefficients), default=0.0)
+    if scale == 0:
+        return []
+    c0, c1, c2 = [c / scale for c in coefficients] + [0.0] * (3 - len(coefficients))
+    if c2 == 0:
+        return [-c0 / c1] if c1 != 0 else []
+    discriminant = c1 * c1 - 4.0 * c2 * c0
+    if discriminant < 0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(discriminant), c1))
+    if q == 0:
+        return [0.0, 0.0]
+    return [q / c2, c0 / q]
+
+
 def _polynomial_is_monotone(curve: SeverityCurve) -> bool:
     derivative = [k * c for k, c in enumerate(curve.coefficients)][1:]
     if not any(derivative):
         return False  # constant
     breakpoints = {curve.x_min, curve.x_max}
-    if len(derivative) > 1:
-        import numpy as np
-
-        for root in np.roots(list(reversed(derivative))):
-            if abs(root.imag) < 1e-9 and curve.x_min < root.real < curve.x_max:
-                breakpoints.add(float(root.real))
+    breakpoints.update(r for r in _real_roots(derivative) if curve.x_min < r < curve.x_max)
     points = sorted(breakpoints)
     # Zero-width slivers around (near-)double derivative roots carry no sign.
     sliver = 1e-12 * (curve.x_max - curve.x_min)

@@ -209,6 +209,17 @@ def test_adjacency_from_duplicated_reversed_shuffled_edges():
         assert all(graph.has_edge(bump, n) and graph.has_edge(n, bump) for n in neighbors)
 
 
+def test_sorted_edges_are_the_edge_set_in_ascending_order():
+    rng = random.Random(11)
+    base = {tuple(sorted(rng.sample(range(30), 2))) for _ in range(100)}
+    edges = [*base, *((b, a) for a, b in base)]
+    rng.shuffle(edges)
+    graph = AdjacencyGraph(edges)
+    assert isinstance(graph.sorted_edges, tuple)
+    assert graph.sorted_edges == tuple(sorted(base))
+    assert AdjacencyGraph([]).sorted_edges == ()
+
+
 @pytest.mark.parametrize(
     "edges,message",
     [

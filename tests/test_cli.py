@@ -221,11 +221,14 @@ def test_fit_underdetermined_exits_1(tmp_path, capsys):
 
 
 # SHA-256 of the stdout bytes of `fit --csv configs/synthetic_bridge_severity.csv`.
+# The polynomial fits use only IEEE-754 basic operations and math.fsum, so
+# their bits are the same on every platform; the log-linear and exponential
+# pins also rest on the C library's log and exp.
 FIT_OUTPUT_SHA256 = {
-    ("log-linear", "3"): "1ce47e031f699944fdcb8ce5395b6a2e897cb89919d1cee1b79bafe784f5f03e",
-    ("exponential", "3"): "4688422f18799e24e0de1ca7085aaec675857f1846d6373474610a763446bdd1",
-    ("polynomial", "3"): "88fce40966d5635799363e452abdecbbeb59ae66d747a0959c1a95b0306ceed0",
-    ("polynomial", "1"): "336988905530ebaaccbe9d8c6e11c805f5fde5045198689dd965dab673b4d2b9",
+    ("log-linear", "3"): "1b50f3bbc810fb5028094e0a54b226c1f7d1e5787f4f9a7cbadd6af5338fc0b9",
+    ("exponential", "3"): "87617114876572f2d2e5ae203aee05f1af100f69cfcb23ef9208f68630fae2b3",
+    ("polynomial", "3"): "d8289117a3649465c00bd3e41372f72c345edab9012d95aea350974a3d933cee",
+    ("polynomial", "1"): "3013759d2625413dd51f3137475bd187173edaaca02b099b04270564098fc770",
 }
 
 
@@ -480,6 +483,22 @@ def test_fit_non_utf8_csv_exits_1(tmp_path, capsys):
     assert str(csv_path) in err
 
 
+@pytest.mark.parametrize(
+    "rows,family",
+    [
+        (["1,1e300", "2,1e200"], "exponential"),
+        (["1e200,1", "2e200,2", "3e200,3", "4e200,5"], "polynomial"),
+    ],
+    ids=["exponential", "polynomial"],
+)
+def test_fit_overflowing_samples_exits_1(tmp_path, capsys, rows, family):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text("\n".join(["x,y", *rows]) + "\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "fit", "--csv", str(csv_path), "--family", family)
+    assert_one_line_error(status, out, err)
+    assert err == "error: degenerate samples: fit produced non-finite coefficients\n"
+
+
 def test_gen_map_oversized_lattice_exits_1(capsys):
     assert_one_line_error(
         *run_cli(
@@ -524,19 +543,27 @@ def test_python_m_cli_runs_dictionary():
     assert "87/91" in proc.stdout
 
 
-def test_cli_import_loads_neither_numpy_nor_scipy():
+def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
     src = str(Path(chipletbist.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, chipletbist.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    csv_path = str(REPO / "configs" / "synthetic_bridge_severity.csv")
+    fits = "; ".join(
+        "assert main({!r}) == 0".format(
+            ["fit", "--csv", csv_path, "--family", family, "--out", str(tmp_path / family)]
+        )
+        for family in ("log-linear", "exponential", "polynomial")
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for statement in ("import chipletbist.cli", "from chipletbist.cli import main; " + fits):
+        code = (
+            f"import sys; {statement}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", statement

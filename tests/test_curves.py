@@ -86,6 +86,28 @@ def test_degenerate_samples_rejected():
         fit_severity_curve([(0.0, 1.0), (1.0, -3.0)], CurveFamily.EXPONENTIAL)
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_too_few_distinct_x_values_are_singular(degree):
+    # Four samples but only two distinct x: exactly singular normal equations.
+    samples = [(1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (2.0, 3.0)]
+    with pytest.raises(FitError, match="normal equations are singular"):
+        fit_severity_curve(samples, CurveFamily.POLYNOMIAL, degree=degree)
+
+
+@pytest.mark.parametrize(
+    "samples,degree",
+    [
+        ([(k * 1e154, 1.0) for k in (1.0, 1.1, 1.2, 1.3)], 1),  # finite x^2, sum overflows
+        ([(-1e200, 1.0), (1e200, 2.0), (0.0, 3.0), (1.0, 4.0)], 3),  # x^3 sums -inf + inf
+    ],
+    ids=["sum-overflows", "inf-minus-inf"],
+)
+def test_overflowing_normal_equations_are_degenerate(samples, degree):
+    with pytest.raises(FitError) as excinfo:
+        fit_severity_curve(samples, CurveFamily.POLYNOMIAL, degree=degree)
+    assert str(excinfo.value) == "degenerate samples: fit produced non-finite coefficients"
+
+
 def test_eval_enforces_domain():
     curve = SeverityCurve(CurveFamily.LOG_LINEAR, (0.0, 1.0), 0.5, 2.0)
     with pytest.raises(ParameterError):
