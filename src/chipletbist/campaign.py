@@ -45,7 +45,6 @@ from .bumpmap import (
 from .diagnosis import (
     BumpDiagnosis,
     Candidate,
-    FaultDictionary,
     build_fault_dictionary,
     diagnosability,
     diagnose,
@@ -386,44 +385,29 @@ def _fault_local_failing(bump_map: BumpMap, fault: Fault) -> FailingBumps:
     return sorted(failing)
 
 
-def _local_reports(
+def diagnose_failing(
     failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph
-) -> list[BlockTestReport]:
-    """Per-block reports holding only what ``diagnose`` reads, blocks ascending.
-
-    A report lists the given responses of its block plus every same-block
-    neighbor of a failing bump, at (1, 1) unless given.  Other-block
-    neighbors stay absent, which ``diagnose`` reads as unfalsifiable, exactly
-    as in a full-block report; blocks without a given response are omitted,
-    since they diagnose to nothing.
-    """
-    by_block: dict[int, dict[int, DetectorResponse]] = {}
-    for block, bump, response in failing:
-        by_block.setdefault(block, {})[bump] = response
-    reports = []
-    for block in sorted(by_block):
-        responses = dict(by_block[block])
-        for bump, response in by_block[block].items():
-            if response.y == 0:
-                for neighbor in graph.neighbors(bump):
-                    if bump_map.blocks[neighbor] == block:
-                        responses.setdefault(neighbor, NOMINAL_RESPONSE)
-        reports.append(BlockTestReport(block=block, responses=responses, received={}))
-    return reports
-
-
-def diagnose_reports(
-    reports: list[BlockTestReport],
-    bump_map: BumpMap,
-    graph: AdjacencyGraph,
-    dictionary: FaultDictionary | None = None,
 ) -> list[dict]:
-    """Diagnosis entries for a full test run, blocks in ascending order."""
-    entries = []
-    for report in reports:
-        for entry in diagnose(report, bump_map, graph, dictionary):
-            entries.append(diagnosis_to_dict(entry, report.block))
-    return entries
+    """Diagnosis entries of one fault's failing bumps, blocks in ascending order.
+
+    Each block with a given response is diagnosed as its own test report:
+    its given responses, plus each same-block neighbor of a failing bump at
+    (1, 1).  Other-block neighbors stay absent, which ``diagnose`` reads as
+    unfalsifiable, exactly as in a full-block report.
+    """
+    responses_of: dict[int, dict[int, DetectorResponse]] = {}
+    for block, bump, response in failing:
+        responses_of.setdefault(block, {})[bump] = response
+    for block, bump, response in failing:
+        if response.y == 0:
+            for neighbor in graph.neighbors(bump):
+                if bump_map.blocks[neighbor] == block:
+                    responses_of[block].setdefault(neighbor, NOMINAL_RESPONSE)
+    return [
+        diagnosis_to_dict(entry, block)
+        for block, responses in sorted(responses_of.items())
+        for entry in diagnose(BlockTestReport(block, responses, {}), bump_map, graph)
+    ]
 
 
 def run_campaign(config: CampaignConfig) -> dict:
@@ -462,8 +446,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             for block, bump, response in failing_bumps
         ]
         detected = bool(failing)
-        reports = _local_reports(failing_bumps, bump_map, graph)
-        diagnosis = diagnose_reports(reports, bump_map, graph, dictionary)
+        diagnosis = diagnose_failing(failing_bumps, bump_map, graph)
         # A candidate names the fault when it matches the fault's wire form
         # with the bridge behavior folded away.
         wire = fault_to_dict(fault)
@@ -605,6 +588,7 @@ def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBum
     if not isinstance(result, dict) or not isinstance(result.get("failing"), list):
         raise ParameterError(f"{where}: expected an object with a 'failing' list")
     failing = []
+    listed_at: dict[int, int] = {}
     for i, item in enumerate(result["failing"]):
         at = f"{where}.failing[{i}]"
         _expect_keys(item, at, {"block", "bump", "response"})
@@ -613,6 +597,11 @@ def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBum
             raise ParameterError(f"{at}.block: expected a block id of this map, got {block!r}")
         if not _is_index(bump, bump_map.bump_count):
             raise ParameterError(f"{at}.bump: expected a bump id of this map, got {bump!r}")
+        if bump in listed_at:
+            raise ParameterError(
+                f"{at}.bump: bump {bump} is already listed at failing[{listed_at[bump]}]"
+            )
+        listed_at[bump] = i
         if bump_map.blocks[bump] != block:
             raise ParameterError(
                 f"{at}: bump {bump} lies in block {bump_map.blocks[bump]}, not {block}"
@@ -631,7 +620,8 @@ def rediagnose_report(report: dict) -> dict:
     Only failing responses are stored; every other bump of a block must have
     passed with (1, 1) (a y = 1 response forces x = 1), so the neighborhoods
     that diagnosis reads can be reconstructed exactly.  A failing entry that
-    is malformed or names a bump outside its block raises ParameterError.
+    is malformed, names a bump outside its block, or names a bump listed
+    before it raises ParameterError.
     """
     _expect_keys(
         report,
@@ -644,10 +634,8 @@ def rediagnose_report(report: dict) -> dict:
     if not isinstance(report["fault_results"], list):
         raise ParameterError("report.fault_results: expected a list")
     bump_map, graph = build_campaign_map(config)
-    dictionary = build_fault_dictionary()
     diagnoses = []
     for i, result in enumerate(report["fault_results"]):
         failing = _failing_from_dict(result, f"report.fault_results[{i}]", bump_map)
-        reports = _local_reports(failing, bump_map, graph)
-        diagnoses.append(diagnose_reports(reports, bump_map, graph, dictionary))
+        diagnoses.append(diagnose_failing(failing, bump_map, graph))
     return {"version": SCHEMA_VERSION, "diagnoses": diagnoses}

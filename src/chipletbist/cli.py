@@ -33,7 +33,7 @@ from .campaign import (
     run_campaign,
 )
 from .circuits import build_faulty_circuit, emit_netlist
-from .curves import CurveFamily, fit_severity_curve, load_samples_csv
+from .curves import MAX_POLYNOMIAL_DEGREE, CurveFamily, fit_severity_curve, load_samples_csv
 from .defects import (
     ComponentKind,
     ElectricalScenario,
@@ -221,8 +221,12 @@ def _cmd_netlist(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    family = CurveFamily(args.family)
+    if family is not CurveFamily.POLYNOMIAL and args.degree is not None:
+        raise ParameterError(f"--degree applies to --family polynomial only, not {family.value}")
+    degree = MAX_POLYNOMIAL_DEGREE if args.degree is None else args.degree
     samples = load_samples_csv(args.csv)
-    curve = fit_severity_curve(samples, CurveFamily(args.family), degree=args.degree)
+    curve = fit_severity_curve(samples, family, degree=degree)
     payload = {
         "family": curve.family.value,
         "coefficients": list(curve.coefficients),
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a severity curve from CSV samples")
     p.add_argument("--csv", required=True)
     p.add_argument("--family", choices=[f.value for f in CurveFamily], required=True)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=int, help=f"polynomial only (default {MAX_POLYNOMIAL_DEGREE})")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fit)
 

@@ -4,8 +4,9 @@ The single-fault universe over one quad (one bump per codeword color, all in
 one block) holds 14 faults: 8 stuck-at (4 colors x SA-0/SA-1) and 6 bridges
 (unordered color pairs).  Simulating each of them yields the dictionary of
 response signatures; faults sharing a signature form the ambiguous pairs that
-bound diagnosability.  Observed full-map responses are matched back through
-the dictionary, pruning bridge partners with the adjacency graph.
+bound diagnosability.  A failing bump is diagnosed by one lookup in a table
+keyed by (color, response) and derived from the signatures, pruning bridge
+partners with the adjacency graph; a response with no entry is unmodeled.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .bist import (
@@ -100,6 +101,33 @@ class FaultDictionary:
     by_signature: dict[Signature, frozenset[QuadFault]]
     signatures_of: dict[QuadFault, tuple[Signature, ...]]
     ambiguous_pairs: frozenset[frozenset[QuadFault]]
+
+    @functools.cached_property
+    def by_response(self) -> dict:
+        """(color, response) -> (stuck values, {partner color: partner responses}).
+
+        Read-only, and derived from ``signatures_of``: each signature files
+        its fault under the response of each of the fault's colors, with the
+        stuck value of a stuck-at fault, or the partner color's response of
+        a bridge.  Stuck values ascend.  A response no quad fault explains
+        has no entry.
+        """
+        table: dict = {}
+        for fault, signatures in self.signatures_of.items():
+            if isinstance(fault, QuadStuckAt):
+                ends, values = (fault.color,), [fault.value]
+            else:
+                ends, values = (fault.color_a, fault.color_b), []
+            for signature, own in product(signatures, ends):
+                stuck, partners = table.setdefault((own, signature[COLOR_INDEX[own]]), ([], {}))
+                stuck += values
+                for partner in ends:
+                    if partner is not own:
+                        partners.setdefault(partner, set()).add(signature[COLOR_INDEX[partner]])
+        return {
+            key: (tuple(sorted(stuck)), {c: frozenset(r) for c, r in partners.items()})
+            for key, (stuck, partners) in table.items()
+        }
 
 
 @functools.cache
@@ -190,53 +218,25 @@ def diagnose(
     """
     if bump_map.coloring is None:
         raise ParameterError("bump map must be colored to diagnose responses")
-    dictionary = dictionary or build_fault_dictionary()
+    by_response = (dictionary or build_fault_dictionary()).by_response
+    coloring = bump_map.coloring
     diagnoses = []
     for bump in sorted(report.responses):
         response = report.responses[bump]
         if response.y == 1:
             continue
-        color = bump_map.coloring[bump]
-        color_idx = COLOR_INDEX[color]
-
-        stuck_candidates = [
-            StuckAt(bump, fault.value)
-            for fault in dictionary.universe
-            if isinstance(fault, QuadStuckAt)
-            and fault.color is color
-            and dictionary.signatures_of[fault][0][color_idx] == response
-        ]
-        bridge_candidates: dict[tuple[int, int], BridgeCandidate] = {}
-        modeled = bool(stuck_candidates)
-        for fault in dictionary.universe:
-            if not isinstance(fault, QuadBridge) or color not in (fault.color_a, fault.color_b):
-                continue
-            partner_color = fault.color_b if fault.color_a is color else fault.color_a
-            partner_idx = COLOR_INDEX[partner_color]
-            for signature in dict.fromkeys(dictionary.signatures_of[fault]):
-                if signature[color_idx] != response:
-                    continue
-                modeled = True
-                expected = signature[partner_idx]
-                for neighbor in graph.neighbors(bump):
-                    if bump_map.coloring[neighbor] is not partner_color:
-                        continue
-                    observed = report.responses.get(neighbor)
-                    if observed is not None and observed != expected:
-                        continue
-                    key = (min(bump, neighbor), max(bump, neighbor))
-                    bridge_candidates[key] = BridgeCandidate(*key)
-        candidates = tuple(
-            sorted(stuck_candidates, key=lambda f: f.value)
-        ) + tuple(bridge_candidates[k] for k in sorted(bridge_candidates))
+        color = coloring[bump]
+        match = by_response.get((color, response))
+        stuck_values, partners = match or ((), {})
+        candidates: list[Candidate] = [StuckAt(bump, value) for value in stuck_values]
+        # Neighbors ascend, so the (min, max) keys come out sorted and unique.
+        for neighbor in graph.neighbors(bump):
+            expected = partners.get(coloring[neighbor], ())
+            observed = report.responses.get(neighbor)
+            if expected and (observed is None or observed in expected):
+                candidates.append(BridgeCandidate(min(bump, neighbor), max(bump, neighbor)))
         diagnoses.append(
-            BumpDiagnosis(
-                bump=bump,
-                color=color,
-                response=response,
-                candidates=candidates,
-                unmodeled=not modeled,
-            )
+            BumpDiagnosis(bump, color, response, tuple(candidates), unmodeled=match is None)
         )
     return diagnoses
 

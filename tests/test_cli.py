@@ -223,7 +223,8 @@ def test_fit_underdetermined_exits_1(tmp_path, capsys):
 # SHA-256 of the stdout bytes of `fit --csv configs/synthetic_bridge_severity.csv`.
 # The polynomial fits use only IEEE-754 basic operations and math.fsum, so
 # their bits are the same on every platform; the log-linear and exponential
-# pins also rest on the C library's log and exp.
+# pins also rest on the C library's log and exp.  Only a polynomial fit takes
+# --degree; the other families' keys keep "3" so the test ids stay stable.
 FIT_OUTPUT_SHA256 = {
     ("log-linear", "3"): "1b50f3bbc810fb5028094e0a54b226c1f7d1e5787f4f9a7cbadd6af5338fc0b9",
     ("exponential", "3"): "87617114876572f2d2e5ae203aee05f1af100f69cfcb23ef9208f68630fae2b3",
@@ -235,12 +236,42 @@ FIT_OUTPUT_SHA256 = {
 @pytest.mark.parametrize("family,degree", sorted(FIT_OUTPUT_SHA256))
 def test_fit_shipped_samples_output_bytes(capsys, family, degree):
     csv_path = REPO / "configs" / "synthetic_bridge_severity.csv"
+    degree_flag = ["--degree", degree] if family == "polynomial" else []
     status, out, _ = run_cli(
-        capsys, "fit", "--csv", str(csv_path), "--family", family, "--degree", degree
+        capsys, "fit", "--csv", str(csv_path), "--family", family, *degree_flag
     )
     assert status == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == FIT_OUTPUT_SHA256[family, degree], out
+
+
+def test_fit_polynomial_defaults_to_degree_3(capsys):
+    csv_path = REPO / "configs" / "synthetic_bridge_severity.csv"
+    status, out, _ = run_cli(capsys, "fit", "--csv", str(csv_path), "--family", "polynomial")
+    assert status == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == FIT_OUTPUT_SHA256["polynomial", "3"]
+
+
+def test_fit_polynomial_degree_0_is_a_constant(tmp_path, capsys):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text("x,y\n1,5\n2,5\n3,5\n", encoding="utf-8")
+    status, out, _ = run_cli(
+        capsys, "fit", "--csv", str(csv_path), "--family", "polynomial", "--degree", "0"
+    )
+    assert status == 0
+    assert json.loads(out)["coefficients"] == [5.0]
+
+
+@pytest.mark.parametrize("family", ["log-linear", "exponential"])
+def test_fit_degree_without_polynomial_exits_1(capsys, family):
+    csv_path = REPO / "configs" / "synthetic_bridge_severity.csv"
+    status, out, err = run_cli(
+        capsys, "fit", "--csv", str(csv_path), "--family", family, "--degree", "3"
+    )
+    assert status == 1
+    assert out == ""
+    assert err == f"error: --degree applies to --family polynomial only, not {family}\n"
 
 
 @pytest.mark.parametrize(
@@ -423,6 +454,10 @@ def _move_to_other_block(result):
     result["failing"][0]["block"] = 1 - result["failing"][0]["block"]
 
 
+def _list_bump_twice(result):
+    result["failing"].append(dict(result["failing"][0], response=[1, 1]))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -433,6 +468,7 @@ def _move_to_other_block(result):
         _set_item("response", [0, 2]),
         _set_item("response", ["0", "0"]),
         _drop_failing,
+        _list_bump_twice,
     ],
     ids=[
         "bump-outside-map",
@@ -442,6 +478,7 @@ def _move_to_other_block(result):
         "response-not-binary",
         "response-not-ints",
         "failing-missing",
+        "bump-listed-twice",
     ],
 )
 def test_diagnose_rejects_malformed_failing_entry(tmp_path, capsys, edit):

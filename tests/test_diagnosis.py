@@ -16,6 +16,7 @@ from chipletbist.bist import (
 )
 from chipletbist.bumpmap import (
     AdjacencyGraph,
+    COLOR_INDEX,
     COLOR_ORDER,
     Color,
     Lattice,
@@ -29,6 +30,7 @@ from chipletbist.curves import CurveFamily, SeverityCurve
 from chipletbist.defects import ComponentKind, FunctionalFaultClass, MagnitudeKind
 from chipletbist.diagnosis import (
     BridgeCandidate,
+    BumpDiagnosis,
     MagnitudeBound,
     QuadBridge,
     QuadStuckAt,
@@ -226,6 +228,85 @@ def test_diagnose_requires_colored_map():
     report = BlockTestReport(block=0, responses={0: DetectorResponse(0, 0)}, received={})
     with pytest.raises(ParameterError):
         diagnose(report, bump_map, AdjacencyGraph([]))
+
+
+def scan_diagnose(report, bump_map, graph, dictionary):
+    """The reference for ``diagnose``: scan the whole quad universe per failing bump."""
+    diagnoses = []
+    for bump in sorted(report.responses):
+        response = report.responses[bump]
+        if response.y == 1:
+            continue
+        color = bump_map.coloring[bump]
+        own = COLOR_INDEX[color]
+        stuck = [
+            StuckAt(bump, fault.value)
+            for fault in dictionary.universe
+            if isinstance(fault, QuadStuckAt)
+            and fault.color is color
+            and dictionary.signatures_of[fault][0][own] == response
+        ]
+        modeled = bool(stuck)
+        bridges = set()
+        for fault in dictionary.universe:
+            if not isinstance(fault, QuadBridge) or color not in (fault.color_a, fault.color_b):
+                continue
+            partner = fault.color_b if fault.color_a is color else fault.color_a
+            for signature in dictionary.signatures_of[fault]:
+                if signature[own] != response:
+                    continue
+                modeled = True
+                for neighbor in graph.neighbors(bump):
+                    observed = report.responses.get(neighbor)
+                    if bump_map.coloring[neighbor] is partner and (
+                        observed is None or observed == signature[COLOR_INDEX[partner]]
+                    ):
+                        bridges.add((min(bump, neighbor), max(bump, neighbor)))
+        candidates = sorted(stuck, key=lambda c: c.value)
+        candidates += [BridgeCandidate(*pair) for pair in sorted(bridges)]
+        diagnoses.append(
+            BumpDiagnosis(bump, color, response, tuple(candidates), unmodeled=not modeled)
+        )
+    return diagnoses
+
+
+def every_single_fault(bump_map, graph):
+    faults = [StuckAt(bump, value) for bump in range(bump_map.bump_count) for value in (0, 1)]
+    faults += [Bridge(a, b, behavior) for a, b in graph.sorted_edges for behavior in (WA, WO)]
+    return faults
+
+
+def test_diagnose_matches_dictionary_scan():
+    dictionary = build_fault_dictionary()
+    # Every failing response of the full dictionary is modeled; half of the
+    # universe leaves some unmodeled, which the lookup must report as such.
+    half = dictionary.universe[::2]
+    partial = replace(
+        dictionary, universe=half, signatures_of={f: dictionary.signatures_of[f] for f in half}
+    )
+    # Every report over the all-adjacent quad: each bump absent or at any response.
+    bump_map, graph = quad_fixture()
+    choices = [None, *(DetectorResponse(x, y) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))]
+    unmodeled = 0
+    for assignment in itertools.product(choices, repeat=4):
+        responses = {bump: r for bump, r in enumerate(assignment) if r is not None}
+        report = BlockTestReport(block=0, responses=responses, received={})
+        for d in (dictionary, partial):
+            expected = scan_diagnose(report, bump_map, graph, d)
+            assert diagnose(report, bump_map, graph, d) == expected
+            unmodeled += sum(entry.unmodeled for entry in expected)
+    assert unmodeled
+    # Every block report of every single fault on small blocked maps.
+    for kind in LatticeKind:
+        bump_map = build_bump_map(Lattice(kind, 8, 8, 20.0))
+        graph = potential_short_graph(bump_map, 1.9 * 20.0)
+        colored = assign_codewords(bump_map, graph)
+        for block_count in (1, 2, 3):
+            blocked = partition_blocks(colored, block_count)
+            for fault in every_single_fault(blocked, graph):
+                for report in run_block_test(blocked, [fault]):
+                    expected = scan_diagnose(report, blocked, graph, dictionary)
+                    assert diagnose(report, blocked, graph) == expected, fault
 
 
 def test_bridge_bound_for_diagnosed_short():

@@ -22,7 +22,6 @@ from chipletbist.bist import (
 from chipletbist.campaign import (
     build_campaign_map,
     canonical_json,
-    diagnose_reports,
     diagnosis_to_dict,
     fault_from_dict,
     fault_to_dict,
@@ -126,8 +125,9 @@ def full_rediagnosis(report):
             failing.setdefault(item["block"], {})[item["bump"]] = DetectorResponse(
                 *item["response"]
             )
-        reports = [
-            BlockTestReport(
+        entries = []
+        for block in range(config.block_count):
+            report_of_block = BlockTestReport(
                 block=block,
                 responses={
                     b: failing.get(block, {}).get(b, NOMINAL_RESPONSE)
@@ -135,9 +135,9 @@ def full_rediagnosis(report):
                 },
                 received={},
             )
-            for block in range(config.block_count)
-        ]
-        diagnoses.append(diagnose_reports(reports, bump_map, graph, dictionary))
+            for entry in diagnose(report_of_block, bump_map, graph, dictionary):
+                entries.append(diagnosis_to_dict(entry, block))
+        diagnoses.append(entries)
     return {"version": 1, "diagnoses": diagnoses}
 
 
