@@ -306,7 +306,7 @@ def overhead_report(bump_map: BumpMap) -> OverheadReport:
     """
     if bump_map.blocks is None or bump_map.block_count is None:
         raise ParameterError("bump map must be blocked for an overhead report")
-    sizes = [len(bump_map.bumps_in_block(k)) for k in range(bump_map.block_count)]
+    sizes = [bump_map.blocks.count(k) for k in range(bump_map.block_count)]
     detectors = max(sizes)
     return OverheadReport(
         detector_count=detectors,

@@ -5,7 +5,10 @@ lattice.  Bumps that are close enough to short against each other form the
 potential-short adjacency graph.  Because the lattice is regular, every
 partner of a bump within the short radius lies in a small forward window of
 row and column offsets, so the graph is enumerated by scanning that window
-per bump; no spatial index is needed.  A proper 4-coloring of the graph
+per bump; no spatial index is needed.  That scan yields each bump's higher
+neighbours already ascending, from which one pass builds the graph's whole
+state: every bump's ascending neighbour tuple and the ascending edge tuple
+(the edge set is derived from it on request).  A proper 4-coloring of the graph
 decides which of the four test codewords each bump receives, and contiguous
 column bands split the map into sequentially tested blocks.
 """
@@ -123,12 +126,13 @@ class BumpMap:
 class AdjacencyGraph:
     """Undirected potential-short graph over bump ids.
 
-    Edges are stored normalized (a < b), once each, with no self-loops:
-    ``edges`` is the set, ``sorted_edges`` the same pairs in ascending order,
-    which is the one edge order every consumer uses.  Neighbour lists are
-    ascending: they are filled in one pass over the sorted edges, where every
-    bump meets its lower neighbours (as ``b``) before its higher ones (as
-    ``a``), each group in ascending order.
+    The stored state is each bump's neighbour tuple, ascending, and
+    ``sorted_edges``: every edge once, normalized (a < b), with no
+    self-loops, in ascending order, which is the one edge order every
+    consumer uses.  ``edges`` is not stored: each access builds a frozenset
+    of ``sorted_edges``.  Any edge iterable is reduced to each bump's
+    ascending higher neighbours; one pass over those in bump order fills
+    every neighbour tuple, since a bump meets all its lower neighbours first.
     """
 
     def __init__(
@@ -136,27 +140,46 @@ class AdjacencyGraph:
         edges: Iterable[tuple[int, int]],
         short_radius_um: float | None = None,
     ) -> None:
-        normalized = []
+        higher: defaultdict[int, set[int]] = defaultdict(set)
         for a, b in edges:
             if a == b:
                 raise ParameterError(f"self-loop edge on bump {a}")
             if a < 0 or b < 0:
                 raise ParameterError(f"negative bump id in edge ({a}, {b})")
-            normalized.append((a, b) if a < b else (b, a))
-        # Sorting the list, not the set, keeps the ascending runs an edge
-        # scan emits, which the sort merges; the dict then drops duplicates.
-        normalized.sort()
-        pairs = dict.fromkeys(normalized)
-        self.edges: frozenset[tuple[int, int]] = frozenset(pairs)
+            if a < b:
+                higher[a].add(b)
+            else:
+                higher[b].add(a)
+        self._fill(((a, sorted(higher[a])) for a in sorted(higher)), short_radius_um)
+
+    def _fill(
+        self,
+        higher: Iterable[tuple[int, list[int]]],
+        short_radius_um: float | None,
+    ) -> None:
+        """Set the whole state from (bump, ascending higher neighbours), bumps ascending."""
+        lower: defaultdict[int, list[int]] = defaultdict(list)
+        neighbors: dict[int, tuple[int, ...]] = {}
+        edges: list[tuple[int, int]] = []
+        for a, above in higher:
+            for b in above:
+                lower[b].append(a)
+                edges.append((a, b))
+            below = lower.pop(a, None)
+            if below:
+                below += above
+                neighbors[a] = tuple(below)
+            elif above:
+                neighbors[a] = tuple(above)
+        for b, below in lower.items():
+            neighbors[b] = tuple(below)
+        self._neighbors = neighbors
+        self.sorted_edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.short_radius_um = short_radius_um
-        nbrs: defaultdict[int, list[int]] = defaultdict(list)
-        for a, b in pairs:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        self._neighbors = {b: tuple(s) for b, s in nbrs.items()}
-        # Made last, once the sort's temporaries are gone: made first, this
-        # long-lived tuple raised a 128x128 gen-map's peak RSS by about 2 MB.
-        self.sorted_edges: tuple[tuple[int, int], ...] = tuple(pairs)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges)
 
     def neighbors(self, bump: int) -> tuple[int, ...]:
         return self._neighbors.get(bump, ())
@@ -165,11 +188,11 @@ class AdjacencyGraph:
         return len(self._neighbors.get(bump, ()))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
+        return b in self._neighbors.get(a, ())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.sorted_edges)
 
 
 def _row_step(lattice: Lattice) -> float:
@@ -227,7 +250,9 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     dc_max = int(min(cols - 1, short_radius_um // lattice.pitch_um + 1))
     xs = [x for x, _ in bump_map.positions]
     ys = [y for _, y in bump_map.positions]
-    pairs = []
+    # Ids are row-major, so a bump's partners in (dr, dc) window order are
+    # in ascending id order: each higher-neighbour list comes out ascending.
+    higher: list[list[int]] = [[] for _ in range(rows * cols)]
     for dr in range(dr_max + 1):
         for dc in range(-dc_max if dr else 1, dc_max + 1):
             offset = dr * cols + dc
@@ -237,8 +262,11 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
                     dx = xs[a + offset] - xs[a]
                     dy = ys[a + offset] - ys[a]
                     if dx * dx + dy * dy <= limit:
-                        pairs.append((a, a + offset))
-    return AdjacencyGraph(pairs, short_radius_um)
+                        higher[a].append(a + offset)
+    # Past __init__: these lists need no normalizing, sorting or de-duplicating.
+    graph = AdjacencyGraph.__new__(AdjacencyGraph)
+    graph._fill(enumerate(higher), short_radius_um)
+    return graph
 
 
 def periodic_tiling_coloring(lattice: Lattice) -> tuple[Color, ...]:
@@ -291,9 +319,9 @@ def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:
     silently.
     """
     bump_count = bump_map.bump_count
-    for a, b in graph.edges:
-        if b >= bump_count:
-            raise ParameterError(f"edge ({a}, {b}) references a bump outside the map")
+    if max(graph._neighbors, default=-1) >= bump_count:
+        a, b = next(e for e in graph.sorted_edges if e[1] >= bump_count)
+        raise ParameterError(f"edge ({a}, {b}) references a bump outside the map")
     coloring = _greedy_coloring(bump_count, graph)
     if coloring is None:
         tiling = periodic_tiling_coloring(bump_map.lattice)

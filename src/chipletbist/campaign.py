@@ -489,7 +489,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             "escape_rate": (inter_or_escaped / inter_or_total) if inter_or_total else None,
         },
     }
-    block_sizes = [len(bump_map.bumps_in_block(k)) for k in range(config.block_count)]
+    block_sizes = [bump_map.blocks.count(k) for k in range(config.block_count)]
     return {
         "version": SCHEMA_VERSION,
         "config": config_to_dict(config),

@@ -75,6 +75,19 @@ class _Builder:
         return EquivalentCircuit(tuple(self._elements))
 
 
+# The defects whose topology splices in R_f and C_f respectively.
+_TAKES_R_F = frozenset(
+    {
+        PhysicalDefect.PILLAR_CRACK,
+        PhysicalDefect.RESISTIVE_MISALIGNMENT,
+        PhysicalDefect.DAMAGED_RDL,
+        PhysicalDefect.PILLAR_BRIDGE,
+        PhysicalDefect.RDL_BRIDGE,
+    }
+)
+_TAKES_C_F = frozenset({PhysicalDefect.PILLAR_CRACK, PhysicalDefect.CAPACITIVE_MISALIGNMENT})
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ParameterError(message)
@@ -107,7 +120,8 @@ def build_faulty_circuit(
         nodes, plus the mutual capacitance for RDL lines.
 
     Node naming is deterministic: "in", "m1", "m2", ... and "out"; the bridge
-    partner line runs from "m1" to "m2".
+    partner line runs from "m1" to "m2".  An R_f or C_f the topology has no
+    element for is rejected, as is contact resistance on any other defect.
     """
     _require(r_fault_ohm is None or 0 < r_fault_ohm < math.inf, "R_f must be positive and finite")
     _require(c_fault_f is None or 0 < c_fault_f < math.inf, "C_f must be positive and finite")
@@ -119,6 +133,10 @@ def build_faulty_circuit(
         raise ParameterError(
             "the additive contact-resistance term applies to resistive misalignment only"
         )
+    for value, takes, symbol in ((r_fault_ohm, _TAKES_R_F, "R_f"), (c_fault_f, _TAKES_C_F, "C_f")):
+        if value is not None and defect not in takes:
+            subject = "a defect-free component" if defect is None else defect.value
+            raise ParameterError(f"{subject} takes no {symbol}")
     nominal = nominal_parasitics(component, length_um)
     pillar = component is ComponentKind.CU_PILLAR
     b = _Builder()

@@ -206,6 +206,8 @@ def _cmd_netlist(args) -> int:
         )
     if args.defect == "full-break" and args.rf_ohm is not None:
         raise ParameterError("a full break takes only --cf-farad (no residual path)")
+    if component is ComponentKind.CU_PILLAR and args.length_um is not None:
+        raise ParameterError("--length-um applies to --component rdl only (fixed pillar geometry)")
     circuit = build_faulty_circuit(
         component,
         defect,

@@ -152,6 +152,30 @@ def test_short_graph_matches_all_pairs_scan(kind, pitch, factor):
         assert graph.edges == brute_force_edges(bump_map, factor * pitch), (rows, cols)
 
 
+@pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("pitch", [20.0, 1 / 3, 7.3])
+@pytest.mark.parametrize(
+    "factor", [0.5, 1.0, math.sqrt(2.0), 1.5, math.sqrt(3.0), 1.9, 2.0, 2.5, 3.0]
+)
+def test_scan_built_graph_state_matches_all_pairs_scan(kind, pitch, factor):
+    # The scan appends partners in window order and never sorts: row-major
+    # ids make (dr, dc) order ascending for every bump, a column-first order
+    # would not.  On the 3x2 and 2x3 maps adjacent rows' window offsets
+    # coincide or interleave.
+    for rows, cols in [(1, 1), (1, 9), (9, 1), (3, 2), (2, 3), (6, 7), (20, 20)]:
+        bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
+        graph = potential_short_graph(bump_map, factor * pitch)
+        brute = sorted(brute_force_edges(bump_map, factor * pitch))
+        assert graph.sorted_edges == tuple(brute), (rows, cols)
+        expected = {bump: [] for bump in range(bump_map.bump_count)}
+        for a, b in brute:
+            expected[a].append(b)
+            expected[b].append(a)
+        for bump, neighbors in expected.items():
+            assert list(graph.neighbors(bump)) == sorted(neighbors), (rows, cols, bump)
+        assert graph.edges == frozenset(graph.sorted_edges)
+
+
 def test_radius_below_pitch_gives_empty_graph():
     for lattice in (hex_lattice(4, 4), rect_lattice(4, 4)):
         graph = potential_short_graph(build_bump_map(lattice), 0.5 * PITCH)
@@ -207,6 +231,15 @@ def test_adjacency_from_duplicated_reversed_shuffled_edges():
         assert list(neighbors) == sorted(expected)
         assert graph.degree(bump) == len(expected)
         assert all(graph.has_edge(bump, n) and graph.has_edge(n, bump) for n in neighbors)
+
+
+def test_adjacency_keys_neighbours_by_id_not_by_position():
+    # A list indexed by bump id would need 10**9 slots for this one edge.
+    graph = AdjacencyGraph([(0, 10**9)])
+    assert graph.has_edge(0, 10**9) and graph.has_edge(10**9, 0)
+    assert not graph.has_edge(0, 1)
+    assert graph.neighbors(10**9) == (0,)
+    assert graph.sorted_edges == ((0, 10**9),)
 
 
 def test_sorted_edges_are_the_edge_set_in_ascending_order():
@@ -292,6 +325,13 @@ def test_coloring_rejects_foreign_edges():
     bump_map = build_bump_map(rect_lattice(1, 2))
     with pytest.raises(ParameterError):
         assign_codewords(bump_map, AdjacencyGraph([(0, 7)]))
+
+
+def test_coloring_names_the_first_foreign_edge_in_ascending_order():
+    bump_map = build_bump_map(rect_lattice(1, 2))
+    with pytest.raises(ParameterError) as excinfo:
+        assign_codewords(bump_map, AdjacencyGraph([(1, 9), (0, 7)]))
+    assert str(excinfo.value) == "edge (0, 7) references a bump outside the map"
 
 
 def test_single_block_partition():

@@ -119,6 +119,13 @@ def test_rdl_bridge_adds_mutual_capacitance():
         (RDL, PhysicalDefect.DAMAGED_RDL, {"r_fault_ohm": 1.0}),  # missing length
         (RDL, PhysicalDefect.PILLAR_CRACK, {"c_fault_f": 1e-15, "length_um": 5.0}),
         (CU, PhysicalDefect.RDL_BRIDGE, {"r_fault_ohm": 1.0}),
+        (CU, None, {"c_fault_f": 1e-15}),  # no element takes C_f
+        (CU, PhysicalDefect.CAPACITIVE_MISALIGNMENT, {"r_fault_ohm": 1.0, "c_fault_f": 1e-15}),
+        (
+            RDL,
+            PhysicalDefect.DAMAGED_RDL,
+            {"r_fault_ohm": 1.0, "c_fault_f": 1e-15, "length_um": 10.0},
+        ),
     ],
 )
 def test_missing_or_mismatched_inputs_rejected(component, defect, kwargs):

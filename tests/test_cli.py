@@ -149,6 +149,34 @@ def test_netlist_full_break_rejects_rf(capsys):
     assert status == 1
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (
+            ("--component", "cu-pillar", "--defect", "none", "--rf-ohm", "5"),
+            "a defect-free component takes no R_f",
+        ),
+        (
+            (
+                "--component", "cu-pillar", "--defect", "bridge",
+                "--rf-ohm", "5", "--cf-farad", "1e-15",
+            ),
+            "pillar-bridge takes no C_f",
+        ),
+        (
+            ("--component", "cu-pillar", "--length-um", "500"),
+            "--length-um applies to --component rdl only (fixed pillar geometry)",
+        ),
+    ],
+    ids=["rf-without-defect", "cf-on-bridge", "pillar-length"],
+)
+def test_netlist_value_the_topology_ignores_exits_1(capsys, flags, message):
+    status, out, err = run_cli(capsys, "netlist", *flags)
+    assert status == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_netlist_missing_magnitude_exits_1(capsys):
     status, _, err = run_cli(capsys, "netlist", "--component", "cu-pillar", "--defect", "bridge")
     assert status == 1
