@@ -5,12 +5,17 @@ lattice.  Bumps that are close enough to short against each other form the
 potential-short adjacency graph.  Because the lattice is regular, every
 partner of a bump within the short radius lies in a small forward window of
 row and column offsets, so the graph is enumerated by scanning that window
-per bump; no spatial index is needed.  That scan yields each bump's higher
-neighbours already ascending, from which one pass builds the graph's whole
-state: every bump's ascending neighbour tuple and the ascending edge tuple
-(the edge set is derived from it on request).  A proper 4-coloring of the graph
-decides which of the four test codewords each bump receives, and contiguous
-column bands split the map into sequentially tested blocks.
+per bump; no spatial index is needed.  Whether a pair can short depends only
+on its window offset and, on a hexagonal lattice, the lower bump's row
+parity, so each such offset class is decided once from the lattice geometry:
+all edges or none, unless its distance is within a rounding tolerance (scaled
+by the lattice extent) of the radius, where each pair is tested on its stored
+positions.  The scan yields each bump's higher neighbours already ascending,
+from which one pass builds the graph's whole state: every bump's ascending
+neighbour tuple and the ascending edge tuple (the edge set is derived from it
+on request).  A proper 4-coloring of the graph decides which of the four test
+codewords each bump receives, and contiguous column bands split the map into
+sequentially tested blocks.
 """
 
 from __future__ import annotations
@@ -209,13 +214,12 @@ def build_bump_map(lattice: Lattice) -> BumpMap:
     """
     pitch = lattice.pitch_um
     row_step = _row_step(lattice)
-    positions = []
+    xs = [c * pitch for c in range(lattice.cols)]
+    odd_xs = [x + pitch / 2.0 for x in xs] if lattice.kind is LatticeKind.HEXAGONAL else xs
+    positions: list[tuple[float, float]] = []
     for r in range(lattice.rows):
-        for c in range(lattice.cols):
-            if lattice.kind is LatticeKind.HEXAGONAL:
-                positions.append((c * pitch + (r % 2) * pitch / 2.0, r * row_step))
-            else:
-                positions.append((c * pitch, r * pitch))
+        y = r * row_step
+        positions += [(x, y) for x in (odd_xs if r % 2 else xs)]
     return BumpMap(lattice=lattice, positions=tuple(positions))
 
 
@@ -232,6 +236,20 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     offsets only on its own row.  A pair is an edge when
     dx*dx + dy*dy <= radius*radius, with dx and dy taken from the stored
     positions.  The radius must be positive with a normal, finite square.
+
+    On a regular lattice that distance depends only on the window offset
+    (dr, dc) and, on a hexagonal lattice, on the lower bump's row parity.
+    So each such offset class is decided once, from the lattice geometry:
+    dx = dc*pitch (plus or minus pitch/2 for an odd hexagonal dr) and
+    dy = dr*row_step.  Stored positions round differently, but every pair's
+    squared distance stays within tol = 64*eps*reach**2 of its class's
+    (rounding moves it by at most about tol/4), where
+    reach = max(rows, cols)*pitch + radius bounds every coordinate and
+    window difference.  A class more than tol beyond radius**2 holds no
+    edge, and one more than tol inside it is all edges, with no float work
+    per pair.  Only a class within tol of radius**2 (at a borderline factor
+    such as 1, sqrt(2) or 2, where rounding can split it) tests each pair on
+    its stored positions.
     """
     limit = short_radius_um * short_radius_um
     if not short_radius_um > 0 or not sys.float_info.min <= limit <= sys.float_info.max:
@@ -245,24 +263,45 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
             f"bump map holds {bump_map.bump_count} positions for a "
             f"{lattice.rows}x{lattice.cols} lattice"
         )
-    rows, cols = lattice.rows, lattice.cols
-    dr_max = int(min(rows - 1, short_radius_um // _row_step(lattice) + 1))
-    dc_max = int(min(cols - 1, short_radius_um // lattice.pitch_um + 1))
+    rows, cols, pitch = lattice.rows, lattice.cols, lattice.pitch_um
+    row_step = _row_step(lattice)
+    dr_max = int(min(rows - 1, short_radius_um // row_step + 1))
+    dc_max = int(min(cols - 1, short_radius_um // pitch + 1))
+    hexagonal = lattice.kind is LatticeKind.HEXAGONAL
+    reach = max(rows, cols) * pitch + short_radius_um
+    # Written as 32*eps*(2*reach**2): 2*reach**2 bounds every class's squared
+    # distance, so if it overflows tol is inf and every pair is tested.
+    tol = 32 * sys.float_info.epsilon * (2 * reach * reach)
     xs = [x for x, _ in bump_map.positions]
     ys = [y for _, y in bump_map.positions]
     # Ids are row-major, so a bump's partners in (dr, dc) window order are
     # in ascending id order: each higher-neighbour list comes out ascending.
     higher: list[list[int]] = [[] for _ in range(rows * cols)]
     for dr in range(dr_max + 1):
+        class_dy = dr * row_step
         for dc in range(-dc_max if dr else 1, dc_max + 1):
             offset = dr * cols + dc
             c_lo, c_hi = max(0, -dc), min(cols, cols - dc)
-            for row_start in range(0, (rows - dr) * cols, cols):
-                for a in range(row_start + c_lo, row_start + c_hi):
-                    dx = xs[a + offset] - xs[a]
-                    dy = ys[a + offset] - ys[a]
-                    if dx * dx + dy * dy <= limit:
-                        higher[a].append(a + offset)
+            for parity in (0, 1):
+                # An odd hexagonal dr puts the partner half a pitch right of
+                # an even row's bump and half a pitch left of an odd row's.
+                shift = (0.5 - parity) * pitch if hexagonal and dr % 2 else 0.0
+                class_dx = dc * pitch + shift
+                gap = class_dx * class_dx + class_dy * class_dy - limit
+                if gap > tol:
+                    continue
+                row_starts = range(parity * cols, (rows - dr) * cols, 2 * cols)
+                if gap < -tol:
+                    for row_start in row_starts:
+                        for a in range(row_start + c_lo, row_start + c_hi):
+                            higher[a].append(a + offset)
+                    continue
+                for row_start in row_starts:
+                    for a in range(row_start + c_lo, row_start + c_hi):
+                        dx = xs[a + offset] - xs[a]
+                        dy = ys[a + offset] - ys[a]
+                        if dx * dx + dy * dy <= limit:
+                            higher[a].append(a + offset)
     # Past __init__: these lists need no normalizing, sorting or de-duplicating.
     graph = AdjacencyGraph.__new__(AdjacencyGraph)
     graph._fill(enumerate(higher), short_radius_um)
@@ -353,5 +392,5 @@ def partition_blocks(bump_map: BumpMap, block_count: int) -> BumpMap:
     for k in range(block_count):
         width = base + (1 if k < extra else 0)
         col_to_block.extend([k] * width)
-    blocks = tuple(col_to_block[bump_map.row_col(b)[1]] for b in range(bump_map.bump_count))
+    blocks = tuple(col_to_block) * bump_map.lattice.rows
     return replace(bump_map, blocks=blocks, block_count=block_count)

@@ -489,15 +489,10 @@ def run_campaign(config: CampaignConfig) -> dict:
             "escape_rate": (inter_or_escaped / inter_or_total) if inter_or_total else None,
         },
     }
-    block_sizes = [bump_map.blocks.count(k) for k in range(config.block_count)]
     return {
         "version": SCHEMA_VERSION,
         "config": config_to_dict(config),
-        "map": {
-            "bumps": bump_map.bump_count,
-            "edges": graph.edge_count,
-            "block_sizes": block_sizes,
-        },
+        "map": _map_section(bump_map, graph),
         "overhead": {
             "detector_count": overhead.detector_count,
             "tpg_count": overhead.tpg_count,
@@ -512,6 +507,15 @@ def run_campaign(config: CampaignConfig) -> dict:
         },
         "fault_results": fault_results,
         "metrics": metrics,
+    }
+
+
+def _map_section(bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
+    """The report's summary of the map a campaign ran on."""
+    return {
+        "bumps": bump_map.bump_count,
+        "edges": graph.edge_count,
+        "block_sizes": [bump_map.blocks.count(k) for k in range(bump_map.block_count)],
     }
 
 
@@ -619,9 +623,11 @@ def rediagnose_report(report: dict) -> dict:
 
     Only failing responses are stored; every other bump of a block must have
     passed with (1, 1) (a y = 1 response forces x = 1), so the neighborhoods
-    that diagnosis reads can be reconstructed exactly.  A failing entry that
-    is malformed, names a bump outside its block, or names a bump listed
-    before it raises ParameterError.
+    that diagnosis reads can be reconstructed exactly.  A ``map`` section
+    that differs from the map the report's config builds (an edited config
+    would re-diagnose against another graph), or a failing entry that is
+    malformed, names a bump outside its block, or names a bump listed before
+    it, raises ParameterError.
     """
     _expect_keys(
         report,
@@ -634,6 +640,13 @@ def rediagnose_report(report: dict) -> dict:
     if not isinstance(report["fault_results"], list):
         raise ParameterError("report.fault_results: expected a list")
     bump_map, graph = build_campaign_map(config)
+    expected_map = _map_section(bump_map, graph)
+    if report["map"] != expected_map:
+        raise ParameterError(
+            "report.map: does not match the map its config builds ("
+            + ", ".join(f"{key} {value}" for key, value in expected_map.items())
+            + ")"
+        )
     diagnoses = []
     for i, result in enumerate(report["fault_results"]):
         failing = _failing_from_dict(result, f"report.fault_results[{i}]", bump_map)

@@ -9,13 +9,10 @@ causes, if any.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
-
-logger = logging.getLogger(__name__)
 
 CU_PILLAR_DIAMETER_UM = 20.0
 CU_PILLAR_HEIGHT_UM = 20.0
@@ -178,7 +175,11 @@ def classify_defect(scenario: ElectricalScenario, magnitude: FaultMagnitude) -> 
         )
     if lower is not None and not magnitude.value > lower:
         # Semantics below the documented open-capacitance floor are unstated.
-        logger.warning(
+        # logging is imported only here: at module load it would cost every
+        # CLI process several milliseconds for this one warning.
+        import logging
+
+        logging.getLogger(__name__).warning(
             "%s with C_open = %.3e F is at or below the %.1e F floor; "
             "classifying as no hard fault",
             scenario.value,

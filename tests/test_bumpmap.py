@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -174,6 +175,83 @@ def test_scan_built_graph_state_matches_all_pairs_scan(kind, pitch, factor):
         for bump, neighbors in expected.items():
             assert list(graph.neighbors(bump)) == sorted(neighbors), (rows, cols, bump)
         assert graph.edges == frozenset(graph.sorted_edges)
+
+
+def window_scan(bump_map, radius):
+    """Per-pair reference: test every forward-window pair on its stored positions.
+
+    Returns the ascending edges, each bump's ascending neighbours, and the
+    number of offset classes (dr, dc, lower row parity) whose pairs do not
+    all agree, which only a per-pair test can decide.
+    """
+    lattice = bump_map.lattice
+    rows, cols, pitch = lattice.rows, lattice.cols, lattice.pitch_um
+    row_step = pitch * math.sqrt(3.0) / 2.0 if lattice.kind is LatticeKind.HEXAGONAL else pitch
+    dr_max = int(min(rows - 1, radius // row_step + 1))
+    dc_max = int(min(cols - 1, radius // pitch + 1))
+    limit = radius * radius
+    xs = [x for x, _ in bump_map.positions]
+    ys = [y for _, y in bump_map.positions]
+    higher = [[] for _ in range(rows * cols)]
+    split = 0
+    for dr in range(dr_max + 1):
+        for dc in range(-dc_max if dr else 1, dc_max + 1):
+            offset = dr * cols + dc
+            c_lo, c_hi = max(0, -dc), min(cols, cols - dc)
+            for parity in (0, 1):
+                pairs = hits = 0
+                for row_start in range(parity * cols, (rows - dr) * cols, 2 * cols):
+                    for a in range(row_start + c_lo, row_start + c_hi):
+                        dx = xs[a + offset] - xs[a]
+                        dy = ys[a + offset] - ys[a]
+                        if dx * dx + dy * dy <= limit:
+                            higher[a].append(a + offset)
+                            hits += 1
+                    pairs += c_hi - c_lo
+                split += 0 < hits < pairs
+    neighbors = [[] for _ in range(rows * cols)]
+    edges = []
+    for a, above in enumerate(higher):
+        for b in above:
+            edges.append((a, b))
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    return tuple(edges), [tuple(sorted(n)) for n in neighbors], split
+
+
+def test_offset_classes_match_the_per_pair_window_scan():
+    factors = [1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0, 3.0]
+    # Rounding of stored positions grows with the extent.  A factor a few
+    # hundred ulps off a borderline one puts the class's own squared distance
+    # just off radius**2 while its pairs still split: a tolerance scaled by
+    # the radius instead of the extent decides such a class wrongly.
+    nudges = [1 + 64 * sys.float_info.epsilon, 1 - 256 * sys.float_info.epsilon]
+    thin = [(1, 4096), (4096, 1)]
+    cases = [
+        (kind, shape, pitch, factor)
+        for kind in LatticeKind
+        for shape in thin
+        for pitch in [0.1, 1 / 3, 7.3, 1e6]
+        for factor in factors
+    ]
+    cases += [
+        (kind, shape, 7.3, factor * nudge)
+        for kind in LatticeKind
+        for shape, nudge in zip(thin, nudges)
+        for factor in factors
+    ]
+    cases.append((LatticeKind.HEXAGONAL, (256, 256), 7.3, nudges[0]))
+    split_cases = 0
+    for kind, (rows, cols), pitch, factor in cases:
+        bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
+        graph = potential_short_graph(bump_map, factor * pitch)
+        edges, neighbors, split = window_scan(bump_map, factor * pitch)
+        case = (kind.value, rows, cols, pitch, factor)
+        assert graph.sorted_edges == edges, case
+        assert [graph.neighbors(b) for b in range(bump_map.bump_count)] == neighbors, case
+        split_cases += split > 0
+    # The per-pair branch must stay exercised: stored positions split a class.
+    assert split_cases > 0
 
 
 def test_radius_below_pitch_gives_empty_graph():

@@ -522,6 +522,37 @@ def test_diagnose_rejects_malformed_failing_entry(tmp_path, capsys, edit):
     assert err.startswith("error: report.fault_results[") and err.count("\n") == 1
 
 
+def _set_config_radius(report):
+    report["config"]["map"]["short_radius_factor"] = 1.5  # drops the sqrt(3) ring
+
+
+def _add_bump(report):
+    report["map"]["bumps"] += 1
+
+
+def _shift_block_sizes(report):
+    report["map"]["block_sizes"] = [24 + 1, 24 - 1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_config_radius, _add_bump, _shift_block_sizes],
+    ids=["config-radius", "map-bumps", "map-block-sizes"],
+)
+def test_diagnose_rejects_report_whose_map_its_config_does_not_build(tmp_path, capsys, edit):
+    config_path = write_config(tmp_path, CONFIG)
+    report_path = tmp_path / "report.json"
+    assert run_cli(capsys, "simulate", "--config", config_path, "--out", str(report_path))[0] == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["map"]["block_sizes"] == [24, 24]
+    edit(report)
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    status, out, err = run_cli(capsys, "diagnose", "--report", str(report_path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: report.map: ") and err.count("\n") == 1
+
+
 def assert_one_line_error(status, out, err):
     assert status == 1
     assert out == ""
@@ -632,3 +663,18 @@ def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", statement
+
+
+def test_cli_import_leaves_logging_unloaded():
+    # logging loads only when classify_defect warns below the open floor.
+    src = str(Path(chipletbist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chipletbist.cli; print('logging' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
