@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any
@@ -519,7 +520,33 @@ def _map_section(bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     }
 
 
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+def _float_text(value: float) -> str:
+    """A float as ``json`` writes it: ``float.__repr__``, or NaN or +-Infinity."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# How ``json`` writes a scalar of each exact type.  Other types, int and str
+# subclasses among them, go to the encoder (``_scalar``).
+_encode_str = json.encoder.encode_basestring
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_SCALAR_TYPES = frozenset(_SCALAR_TEXT)
+
+# A flat run of at least this many items is encoded by one call to ``json``'s
+# C encoder; a shorter one is written scalar by scalar, which costs less than
+# building an encoder.
+_LONG_RUN = 16
 
 
 def canonical_json(obj: Any) -> str:
@@ -527,47 +554,89 @@ def canonical_json(obj: Any) -> str:
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"``.  ``json`` writes indented text with its
-    pure-Python encoder, so this writer walks the containers itself and hands
-    each run of scalars to ``json`` unindented, which ``json`` encodes in C.
+    pure-Python encoder, so this writer walks the containers itself and
+    appends each piece of text to one list, joined once at the end.  Scalars
+    in short containers are written by their exact type; a flat run of at
+    least ``_LONG_RUN`` scalars, or of non-empty scalar lists, goes to
+    ``json`` unindented in one call, which ``json`` encodes in C.
     """
-    return _indented(obj, "\n") + "\n"
+    chunks: list[str] = []
+    _write(obj, "\n", "", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
-def _indented(value: Any, newline: str) -> str:
-    """``value`` as indented JSON, for a level whose lines start with ``newline``."""
+def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> None:
+    """Emit ``head`` and then ``value`` as indented JSON, for a level whose
+    lines start with ``newline``."""
     if not isinstance(value, (dict, list, tuple)):
-        return _flat(value, "")
+        emit(head + _scalar(value))
+        return
     if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+        emit(head + ("{}" if isinstance(value, dict) else "[]"))
+        return
     inner = newline + "  "
-    children = value.values() if isinstance(value, dict) else value
-    if _SCALAR_TYPES.issuperset(map(type, children)):
-        run = _flat(value, "," + inner)
-        return run[0] + inner + run[1:-1] + newline + run[-1]
-    if isinstance(value, dict):
-        body = (f"{_key(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(body) + newline + "}"
-    if (
-        {list, tuple}.issuperset(map(type, value))
-        and all(value)
-        and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(value)))
-    ):
-        # One call at the inner lists' own indent.  Encoded strings hold no raw
-        # newline and no scalar ends in "]", so "],<deeper>[" only ever joins
-        # two inner lists; there the outer level's line breaks go in.
-        deeper = inner + "  "
-        run = _flat(value, "," + deeper)[2:-2]
-        body = run.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-        return "[" + inner + "[" + deeper + body + inner + "]" + newline + "]"
-    return "[" + inner + ("," + inner).join(_indented(v, inner) for v in value) + newline + "]"
+    separator = "," + inner
+    is_dict = isinstance(value, dict)
+    if len(value) >= _LONG_RUN:
+        if _SCALAR_TYPES.issuperset(map(type, value.values() if is_dict else value)):
+            run = _flat(value, separator)
+            emit(head + run[0] + inner)
+            emit(run[1:-1])
+            emit(newline + run[-1])
+            return
+        if (
+            not is_dict
+            and {list, tuple}.issuperset(map(type, value))
+            and all(value)
+            and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(value)))
+        ):
+            # One call with NUL between items.  Encoded strings escape every
+            # control character and no scalar ends in "]", so a raw NUL only
+            # ever separates items, and "]<NUL>[" only ever joins two inner
+            # lists: there the outer level's line breaks go in, and at every
+            # other NUL the inner lists' own.
+            deeper = inner + "  "
+            body = _flat(value, "\0")[2:-2].replace("]\0[", f"{inner}],{inner}[{deeper}")
+            emit(f"{head}[{inner}[{deeper}")
+            emit(body.replace("\0", "," + deeper))
+            emit(f"{inner}]{newline}]")
+            return
+    if is_dict:
+        opener = head + "{" + inner
+        for key, child in sorted(value.items()):
+            key = _encode_str(key) if type(key) is str else _key(key)
+            text = _SCALAR_TEXT.get(type(child))
+            if text:
+                emit(f"{opener}{key}: {text(child)}")
+            else:
+                _write(child, inner, f"{opener}{key}: ", emit)
+            opener = separator
+        emit(newline + "}")
+        return
+    opener = head + "[" + inner
+    for child in value:
+        text = _SCALAR_TEXT.get(type(child))
+        if text:
+            emit(opener + text(child))
+        else:
+            _write(child, inner, opener, emit)
+        opener = separator
+    emit(newline + "]")
+
+
+def _scalar(value: Any) -> str:
+    """A scalar as ``json`` writes it; TypeError for what JSON cannot hold."""
+    text = _SCALAR_TEXT.get(type(value))
+    return text(value) if text else _flat(value, "")
 
 
 def _key(key: Any) -> str:
     """A dict key as ``json`` writes it: other scalars are coerced to strings."""
     if isinstance(key, str):
-        return json.encoder.encode_basestring(key)
+        return _encode_str(key)
     if key is None or isinstance(key, (int, float)):
-        return '"' + _flat(key, "") + '"'
+        return '"' + _scalar(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 

@@ -217,8 +217,12 @@ def emit_netlist(circuit: EquivalentCircuit, title: str) -> str:
     """SPICE-style card deck; byte-deterministic for identical circuits.
 
     Line 1 is ``* <title>``, one line per element in insertion order, and a
-    final ``.END``.  LF newlines, no trailing newline.
+    final ``.END``.  LF newlines, no trailing newline.  A title that holds a
+    line break (any character ``str.splitlines`` breaks on) would start a
+    card of its own, so it raises ParameterError.
     """
+    if title.splitlines() not in ([], [title]):
+        raise ParameterError(f"netlist title must be one line, got {title!r}")
     lines = [f"* {title}"]
     for e in circuit.elements:
         lines.append(f"{e.designator} {e.node_a} {e.node_b} {_format_value(e.value)}")

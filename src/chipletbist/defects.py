@@ -9,6 +9,7 @@ causes, if any.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -127,8 +128,10 @@ class FaultMagnitude:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value > 0:
-            raise ParameterError(f"fault magnitude must be positive, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ParameterError(
+                f"fault {self.kind.value} must be positive and finite, got {self.value}"
+            )
 
     @classmethod
     def resistance(cls, ohm: float) -> "FaultMagnitude":

@@ -7,6 +7,9 @@ response signatures; faults sharing a signature form the ambiguous pairs that
 bound diagnosability.  A failing bump is diagnosed by one lookup in a table
 keyed by (color, response) and derived from the signatures, pruning bridge
 partners with the adjacency graph; a response with no entry is unmodeled.
+The shipped dictionary has an entry for every failing response of every
+color, so with it ``unmodeled`` is always false; only a dictionary built
+over a smaller universe leaves responses unmodeled.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chipletbist.bist import Bridge, BridgeBehavior, StuckAt
 from chipletbist.bumpmap import LatticeKind
 from chipletbist.campaign import (
+    _LONG_RUN,
     CampaignConfig,
     MapSpec,
     SamplerSpec,
@@ -309,3 +310,107 @@ def test_canonical_json_equals_json_dumps(make_encoder, value):
         lambda v: json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False) + "\n", value
     )
     assert got == want
+
+
+# The same comparison for runs of at least _LONG_RUN items, which go to the
+# encoder in one call and are spliced into the indented text.  The strings
+# look like the joints the splicing looks for.
+spliced_text = json_text | st.sampled_from(
+    ["],\n      [", "],\n    [", "]\0[", "\0", "]", "[", "],", '"', '"],["', "[]", "{}", "\\"]
+)
+long_scalars = json_scalars | spliced_text
+scalar_lists = st.lists(long_scalars, min_size=1, max_size=3)
+long_runs = (
+    st.lists(long_scalars, min_size=_LONG_RUN, max_size=_LONG_RUN + 8)
+    | st.lists(scalar_lists | scalar_lists.map(tuple), min_size=_LONG_RUN, max_size=_LONG_RUN + 8)
+    | st.lists(
+        long_scalars
+        | scalar_lists
+        | st.lists(long_scalars, max_size=0)
+        | st.lists(scalar_lists | st.lists(long_scalars, max_size=0), min_size=1, max_size=2),
+        min_size=_LONG_RUN,
+        max_size=_LONG_RUN + 8,
+    )
+    # A long run of scalar lists with one item that must keep it off the
+    # one-call path: a scalar, an empty or nested list, or a dict.
+    | st.builds(
+        lambda run, odd, at: run[:at] + [odd] + run[at:],
+        st.lists(scalar_lists, min_size=_LONG_RUN, max_size=_LONG_RUN + 8),
+        st.sampled_from([7, "],\n      [", [], (), [[]], [1, [2]], ([3, 4],), {}, {"a": 5}]),
+        st.integers(0, _LONG_RUN),
+    )
+    | st.sampled_from([spliced_text, st.integers(), st.integers() | st.floats()]).flatmap(
+        lambda keys: st.dictionaries(
+            keys, long_scalars, min_size=_LONG_RUN, max_size=_LONG_RUN + 8
+        )
+    )
+)
+# At the top, and nested one and two levels down, where the indent differs.
+long_run_trees = (
+    long_runs
+    | st.dictionaries(spliced_text, long_runs, min_size=1, max_size=2)
+    | st.lists(st.lists(long_runs, min_size=1, max_size=2), min_size=1, max_size=2)
+)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+LONG_RUN_EXAMPLES = {
+    # A text check that counts "[" in the encoded run takes this for a list
+    # of scalar pairs.
+    "nested-then-scalar": [[1, [2]], 3] + [[i, i] for i in range(70)],
+    "nested-inner": [[1, [2]]] + [[i, i] for i in range(70)],
+    "nested-inner-dict": [[1, {"a": 2}]] + [[i, i] for i in range(70)],
+    "empty-inner": [[i] for i in range(40)] + [[]],
+    "empty-inner-tuple": [()] + [(i, i) for i in range(40)],
+    "joint-strings": [["],\n      [", "],\n    [", "]\0[", "\0"] for _ in range(40)],
+    "joint-string-scalars": ["],\n      [", "]\0[", "]", "[", '"'] * 10,
+    "lists-and-tuples": [[i, str(i)] if i % 2 else (i, float(i)) for i in range(40)],
+    "scalar-then-list": [1] * 40 + [[1]],
+    "special-floats": [[True, None, 1.5, math.nan, -math.inf, math.inf, -0.0]] * 20,
+    "subclasses": [_Int(7), _Float(0.5), _Str("s"), True] * 10,
+    "subclass-pairs": [[_Int(i), _Float(i)] for i in range(40)],
+    "long-dict": {f"k{i:02}": ["],\n  [", i, None, 0.25][i % 4] for i in range(40)},
+    "long-int-key-dict": {i: i * i for i in range(-20, 20)},
+    "long-unsortable-dict": {**{str(i): i for i in range(20)}, 1: 1},
+    "long-dict-of-lists": {f"k{i:02}": [i, i] for i in range(40)},
+    "long-run-in-dict": {"a": {"b": list(range(40)), "c": [[i, -i] for i in range(40)]}},
+    "bad-type-in-run": list(range(40)) + [object()],
+    "bad-type-in-pairs": [[i, i] for i in range(40)] + [[object()]],
+}
+
+
+def _assert_equals_json_dumps(make_encoder, value):
+    with mock.patch.object(json.encoder, "c_make_encoder", make_encoder):
+        got = _text_or_error(canonical_json, value)
+    want = _text_or_error(
+        lambda v: json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False) + "\n", value
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "make_encoder", [json.encoder.c_make_encoder, None], ids=["c-encoder", "no-c-encoder"]
+)
+@pytest.mark.parametrize("value", LONG_RUN_EXAMPLES.values(), ids=LONG_RUN_EXAMPLES)
+def test_canonical_json_long_run_examples(make_encoder, value):
+    _assert_equals_json_dumps(make_encoder, value)
+
+
+@pytest.mark.parametrize(
+    "make_encoder", [json.encoder.c_make_encoder, None], ids=["c-encoder", "no-c-encoder"]
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=long_run_trees)
+def test_canonical_json_long_runs_equal_json_dumps(make_encoder, value):
+    _assert_equals_json_dumps(make_encoder, value)

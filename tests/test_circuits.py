@@ -186,6 +186,23 @@ def test_netlist_golden_damaged_rdl():
     assert emit_netlist(circuit, "damaged rdl") == GOLDEN_DAMAGED_RDL
 
 
+@pytest.mark.parametrize(
+    "title",
+    ["a\nR9 in gnd 1", "a\r\nR9 in gnd 1", "a\rb", "a\n", "\n", "a\x0bb", "a\x0cb", "a\x1cb",
+     "a\x85b", "a\u2028b", "a\u2029b"],
+)
+def test_netlist_title_with_a_line_break_is_rejected(title):
+    # Each of these starts a new line for str.splitlines, so the rest of the
+    # title would be read as a card of its own.
+    with pytest.raises(ParameterError, match="netlist title must be one line"):
+        emit_netlist(build_faulty_circuit(CU), title)
+
+
+def test_netlist_title_keeps_tabs_and_unicode():
+    deck = emit_netlist(build_faulty_circuit(CU), "a\tb é")
+    assert deck.startswith("* a\tb é\nR1 ")
+
+
 def test_netlist_is_deterministic():
     a = emit_netlist(build_faulty_circuit(CU), "t")
     b = emit_netlist(build_faulty_circuit(CU), "t")

@@ -102,6 +102,27 @@ def test_classify_mismatched_kind_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (
+            ("--scenario", "short-to-vdd", "--r-ohm", "inf"),
+            "fault resistance must be positive and finite, got inf",
+        ),
+        (
+            ("--scenario", "vdd-open", "--c-farad", "inf"),
+            "fault capacitance must be positive and finite, got inf",
+        ),
+    ],
+    ids=["r-inf", "c-inf"],
+)
+def test_classify_infinite_magnitude_exits_1(capsys, flags, message):
+    status, out, err = run_cli(capsys, "classify", *flags)
+    assert status == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_netlist_nominal_pillar(capsys):
     status, out, _ = run_cli(capsys, "netlist", "--component", "cu-pillar")
     assert status == 0
@@ -131,6 +152,18 @@ def test_netlist_damaged_rdl_to_file(tmp_path, capsys):
         "* damaged rdl\nR1 in m1 4.310000e-2\nR2 m1 out 5.000000e-2\n"
         "C1 out gnd 1.204000e-15\n.END"
     )
+
+
+def test_netlist_title_with_a_line_break_exits_1(tmp_path, capsys):
+    out_path = tmp_path / "deck.sp"
+    status, out, err = run_cli(
+        capsys, "netlist", "--component", "rdl", "--length-um", "5",
+        "--title", "a\nR9 in gnd 1", "--out", str(out_path),
+    )
+    assert status == 1
+    assert out == ""
+    assert err == "error: netlist title must be one line, got 'a\\nR9 in gnd 1'\n"
+    assert not out_path.exists()
 
 
 def test_netlist_full_break_rejects_rf(capsys):

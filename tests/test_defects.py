@@ -1,6 +1,7 @@
 """Tests for nominal parasitics, the defect taxonomy, and the size classifier."""
 
 import logging
+import math
 
 import pytest
 
@@ -67,6 +68,21 @@ def test_magnitude_must_be_positive():
         FaultMagnitude.resistance(0.0)
     with pytest.raises(ParameterError):
         FaultMagnitude.capacitance(-1e-15)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "make,kind",
+    [(FaultMagnitude.resistance, "resistance"), (FaultMagnitude.capacitance, "capacitance")],
+)
+def test_magnitude_must_be_finite(make, kind, value):
+    with pytest.raises(ParameterError) as excinfo:
+        make(value)
+    assert str(excinfo.value) == f"fault {kind} must be positive and finite, got {value}"
+
+
+def test_largest_finite_magnitude_is_accepted():
+    assert FaultMagnitude.resistance(1.7976931348623157e308).value == 1.7976931348623157e308
 
 
 # (scenario, in-bound magnitude, out-of-bound magnitude, class inside)

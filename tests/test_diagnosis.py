@@ -71,6 +71,14 @@ def test_dictionary_covers_every_fault_and_no_empty_entries():
     assert all(faults for faults in dictionary.by_signature.values())
 
 
+def test_shipped_dictionary_models_every_failing_response():
+    # Every failing (y = 0) response of every color has an entry, so with the
+    # shipped dictionary no failing bump is ever unmodeled.
+    failing = {(color, DetectorResponse(x, 0)) for color in Color for x in (0, 1)}
+    assert len(failing) == 8
+    assert failing <= build_fault_dictionary().by_response.keys()
+
+
 def test_every_fault_fails_somewhere():
     # Full detection: each signature of each fault has y = 0 on >= 1 bump.
     dictionary = build_fault_dictionary()
