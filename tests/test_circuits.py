@@ -1,5 +1,8 @@
 """Tests for equivalent-circuit construction and netlist emission."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from chipletbist.circuits import (
@@ -236,3 +239,55 @@ def test_netlist_number_format_subnormals():
     assert "R2 m out 1.234500e-315\n" in deck
     assert "C1 out gnd 1.000000e-308\n" in deck  # rounding carries into the exponent
     assert "C2 out gnd 2.500000e-307\n" in deck
+
+
+# SHA-256 of emit_netlist(circuit, "pin") for every accepted input combination
+# of PINNED_INPUTS; every other combination raises ParameterError.
+PINNED_DECKS = {
+    ("cu-pillar", "none", None, None, 0.0): "51060bb4424fc54215a9f00a829179864cc5bc4e6144b6a9db0cd4d4aeab3cbf",
+    ("cu-pillar", "pillar-crack", None, 3e-15, 0.0): "f9fc2b267994da2b2f6e008d43b58522ba0bf93977997e74ca36a73d591714dc",
+    ("cu-pillar", "pillar-crack", 2.0, 3e-15, 0.0): "b3ddd4515090308d6958f85e5d980046cb2422e518eee0f3f617cad8ff4c3e4f",
+    ("cu-pillar", "resistive-misalignment", 2.0, None, 0.0): "e7dfed458d80009939eb3b2053a8895311e27d794553ea4c22db97abbf2edcac",
+    ("cu-pillar", "resistive-misalignment", 2.0, None, 0.5): "ee8c925d2e15064037cb286123d7a1463de09fe971ef750b81caae5cfe466718",
+    ("cu-pillar", "capacitive-misalignment", None, 3e-15, 0.0): "cd2845c981ba18a5530c621fd82b4b3e45e8d94794f1e61a34bbc485abb164c7",
+    ("cu-pillar", "pillar-bridge", 2.0, None, 0.0): "f3c43f9a60a0564c4a1e41f991b55f29a0d3597d43f32d901c2512864235dd58",
+    ("rdl", "none", None, None, 0.0): "ac6d9013ed9c2f97c7871df35e96e6886824b9fc5fcf214b6b192dc13bb45cd7",
+    ("rdl", "rdl-bridge", 2.0, None, 0.0): "6593d631135ec4559f5c3d2073c01f985bccd5e927ea83c368aeb7afa95bbf29",
+    ("rdl", "damaged-rdl", 2.0, None, 0.0): "b3d5f607db801a7c3ddcc6ad05c7e58c667c7c007017a29c9d502ec7057a95c5",
+}
+
+# component x defect (or none) x R_f x C_f x contact resistance: 112 cases.
+PINNED_INPUTS = list(
+    itertools.product(
+        [k.value for k in ComponentKind],
+        ["none", *(d.value for d in PhysicalDefect)],
+        [None, 2.0],
+        [None, 3e-15],
+        [0.0, 0.5],
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_INPUTS, ids=["-".join(map(str, case)) for case in PINNED_INPUTS]
+)
+def test_netlist_inputs_pinned(case):
+    component, defect, r_f, c_f, contact = case
+    args = (ComponentKind(component), None if defect == "none" else PhysicalDefect(defect))
+    kwargs = {
+        "r_fault_ohm": r_f,
+        "c_fault_f": c_f,
+        "length_um": 10.0 if component == "rdl" else None,
+        "contact_resistance_ohm": contact,
+    }
+    if case not in PINNED_DECKS:
+        with pytest.raises(ParameterError):
+            build_faulty_circuit(*args, **kwargs)
+        return
+    deck = emit_netlist(build_faulty_circuit(*args, **kwargs), "pin")
+    assert hashlib.sha256(deck.encode("utf-8")).hexdigest() == PINNED_DECKS[case]
+
+
+def test_netlist_input_pins_cover_ten_accepted_cases():
+    assert len(PINNED_INPUTS) == 112
+    assert len(PINNED_DECKS) == 10 and set(PINNED_DECKS) <= set(PINNED_INPUTS)
