@@ -170,7 +170,7 @@ def fsm_schedule(block_count: int) -> TestSchedule:
 
 
 def _check_engine_inputs(bump_map: BumpMap, faults: Iterable[Fault]):
-    if bump_map.coloring is None or bump_map.blocks is None:
+    if bump_map.coloring is None or bump_map.blocks is None or bump_map.block_count is None:
         raise ParameterError("bump map must be colored and blocked before simulation")
     stuck: dict[int, int] = {}
     bridges: list[Bridge] = []
@@ -275,9 +275,8 @@ def run_block_test(bump_map: BumpMap, faults: Iterable[Fault]) -> list[BlockTest
     """Run the full block-sequenced test and report every bump's response."""
     faults = list(faults)
     _check_engine_inputs(bump_map, faults)
-    schedule = fsm_schedule(bump_map.block_count)
     reports = []
-    for block in range(schedule.block_count):
+    for block in range(bump_map.block_count):
         per_cycle = [resolve_net_values(bump_map, block, faults, cyc) for cyc in range(3)]
         received = {
             b: Pattern3(per_cycle[0][b], per_cycle[1][b], per_cycle[2][b])

@@ -112,16 +112,6 @@ class BumpMap:
     def row_col(self, bump: int) -> tuple[int, int]:
         return divmod(bump, self.lattice.cols)
 
-    def color_of(self, bump: int) -> Color:
-        if self.coloring is None:
-            raise ParameterError("bump map has no codeword coloring yet")
-        return self.coloring[bump]
-
-    def block_of(self, bump: int) -> int:
-        if self.blocks is None:
-            raise ParameterError("bump map has no block partition yet")
-        return self.blocks[bump]
-
     def bumps_in_block(self, block: int) -> tuple[int, ...]:
         if self.blocks is None:
             raise ParameterError("bump map has no block partition yet")

@@ -99,9 +99,16 @@ def _expect_keys(data: dict, where: str, required: set[str], optional: set[str] 
         raise ParameterError(f"{where}: missing required fields {sorted(missing)}")
 
 
-def _positive_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{where}: expected a positive integer, got {value!r}")
+def _integer(
+    value: Any, where: str, minimum: int | None = None, expected: str = "an integer"
+) -> int:
+    """A JSON integer (not a bool), at least ``minimum`` when one is given."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        raise ParameterError(f"{where}: expected {expected}, got {value!r}")
     return value
 
 
@@ -133,24 +140,20 @@ def fault_from_dict(data: dict, where: str = "fault") -> Fault:
     kind = data["kind"]
     if kind in ("sa0", "sa1"):
         _expect_keys(data, where, {"kind", "net"})
-        net = data["net"]
-        if not isinstance(net, int) or isinstance(net, bool) or net < 0:
-            raise ParameterError(f"{where}.net: expected a bump id, got {net!r}")
+        net = _integer(data["net"], f"{where}.net", 0, "a bump id")
         return StuckAt(net, 1 if kind == "sa1" else 0)
     if kind == "bridge":
         _expect_keys(data, where, {"kind", "a", "b", "behavior"})
-        for end in ("a", "b"):
-            if not isinstance(data[end], int) or isinstance(data[end], bool) or data[end] < 0:
-                raise ParameterError(f"{where}.{end}: expected a bump id, got {data[end]!r}")
+        a, b = (_integer(data[end], f"{where}.{end}", 0, "a bump id") for end in ("a", "b"))
         try:
             behavior = BridgeBehavior(data["behavior"])
         except ValueError:
             raise ParameterError(
                 f"{where}.behavior: expected 'wired-and' or 'wired-or', got {data['behavior']!r}"
             ) from None
-        if data["a"] == data["b"]:
+        if a == b:
             raise ParameterError(f"{where}: bridge endpoints must differ")
-        return Bridge(data["a"], data["b"], behavior)
+        return Bridge(a, b, behavior)
     raise ParameterError(f"{where}.kind: expected 'sa0', 'sa1', or 'bridge', got {kind!r}")
 
 
@@ -181,15 +184,15 @@ def parse_config(data: dict) -> CampaignConfig:
         ) from None
     map_spec = MapSpec(
         kind=kind,
-        rows=_positive_int(raw_map["rows"], "config.map.rows"),
-        cols=_positive_int(raw_map["cols"], "config.map.cols"),
+        rows=_integer(raw_map["rows"], "config.map.rows", 1, "a positive integer"),
+        cols=_integer(raw_map["cols"], "config.map.cols", 1, "a positive integer"),
         pitch_um=_positive_number(raw_map["pitch_um"], "config.map.pitch_um"),
         short_radius_factor=_positive_number(
             raw_map.get("short_radius_factor", DEFAULT_SHORT_RADIUS_FACTOR),
             "config.map.short_radius_factor",
         ),
     )
-    block_count = _positive_int(data["block_count"], "config.block_count")
+    block_count = _integer(data["block_count"], "config.block_count", 1, "a positive integer")
     has_faults = "faults" in data
     has_sampler = "sampler" in data
     if has_faults == has_sampler:
@@ -210,12 +213,8 @@ def parse_config(data: dict) -> CampaignConfig:
             {"n_faults", "seed"},
             {"kind_mix", "behavior_mix", "include_inter_block"},
         )
-        n_faults = raw["n_faults"]
-        if not isinstance(n_faults, int) or isinstance(n_faults, bool) or n_faults < 0:
-            raise ParameterError(f"config.sampler.n_faults: expected >= 0, got {n_faults!r}")
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ParameterError(f"config.sampler.seed: expected an integer, got {seed!r}")
+        n_faults = _integer(raw["n_faults"], "config.sampler.n_faults", 0, ">= 0")
+        seed = _integer(raw["seed"], "config.sampler.seed")
         include = raw.get("include_inter_block", True)
         if not isinstance(include, bool):
             raise ParameterError("config.sampler.include_inter_block: expected a boolean")

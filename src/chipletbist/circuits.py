@@ -58,39 +58,50 @@ class EquivalentCircuit:
         return frozenset(n for e in self.elements for n in (e.node_a, e.node_b))
 
 
-class _Builder:
-    """Collects elements with per-kind R1, R2, ... / C1, C2, ... numbering."""
+_PILLAR, _RDL = ComponentKind.CU_PILLAR, ComponentKind.RDL_SEGMENT
 
-    def __init__(self) -> None:
-        self._elements: list[CircuitElement] = []
-        self._counts = {"R": 0, "C": 0}
-
-    def add(self, kind: str, node_a: str, node_b: str, value: float) -> None:
-        self._counts[kind] += 1
-        self._elements.append(
-            CircuitElement(kind, str(self._counts[kind]), node_a, node_b, value)
-        )
-
-    def circuit(self) -> EquivalentCircuit:
-        return EquivalentCircuit(tuple(self._elements))
-
-
-# The defects whose topology splices in R_f and C_f respectively.
-_TAKES_R_F = frozenset(
-    {
-        PhysicalDefect.PILLAR_CRACK,
-        PhysicalDefect.RESISTIVE_MISALIGNMENT,
-        PhysicalDefect.DAMAGED_RDL,
-        PhysicalDefect.PILLAR_BRIDGE,
-        PhysicalDefect.RDL_BRIDGE,
-    }
+# An element is (node_a, node_b, value).  The value names what the element
+# takes: the nominal "R", "R/2", "C" or mutual "C_m" (left out when zero),
+# or the fault magnitudes "R_f" and "C_f"; "R_f + contact resistance" adds the
+# extrinsic bonding term.  Its first letter is the element kind.
+_Element = tuple[str, str, str]
+_BRIDGE: tuple[_Element, ...] = (
+    ("in", "out", "R"),
+    ("out", "gnd", "C"),
+    ("m1", "m2", "R"),
+    ("m2", "gnd", "C"),
+    ("out", "m2", "C_m"),
+    ("out", "m2", "R_f"),
 )
-_TAKES_C_F = frozenset({PhysicalDefect.PILLAR_CRACK, PhysicalDefect.CAPACITIVE_MISALIGNMENT})
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
+_FULL_BREAK = (_PILLAR, (("in", "m1", "R/2"), ("m1", "out", "C_f"), ("out", "gnd", "C")))
+# defect -> (the component it applies to, or None for any; elements in deck order)
+_TOPOLOGIES: dict[PhysicalDefect | None, tuple[ComponentKind | None, tuple[_Element, ...]]] = {
+    None: (None, (("in", "out", "R"), ("out", "gnd", "C"))),
+    PhysicalDefect.PILLAR_CRACK: (
+        _PILLAR,
+        (
+            ("in", "m1", "R/2"),
+            ("m1", "m2", "R_f"),
+            ("m1", "m2", "C_f"),
+            ("m2", "out", "R/2"),
+            ("out", "gnd", "C"),
+        ),
+    ),
+    PhysicalDefect.CAPACITIVE_MISALIGNMENT: (
+        _PILLAR,
+        (("in", "m1", "R"), ("m1", "out", "C_f"), ("out", "gnd", "C")),
+    ),
+    PhysicalDefect.RESISTIVE_MISALIGNMENT: (
+        _PILLAR,
+        (("in", "m1", "R"), ("m1", "out", "R_f + contact resistance"), ("out", "gnd", "C")),
+    ),
+    PhysicalDefect.DAMAGED_RDL: (
+        _RDL,
+        (("in", "m1", "R"), ("m1", "out", "R_f"), ("out", "gnd", "C")),
+    ),
+    PhysicalDefect.PILLAR_BRIDGE: (_PILLAR, _BRIDGE),
+    PhysicalDefect.RDL_BRIDGE: (_RDL, _BRIDGE),
+}
 
 
 def build_faulty_circuit(
@@ -104,11 +115,11 @@ def build_faulty_circuit(
 ) -> EquivalentCircuit:
     """Compose the nominal lumped model of one component with a defect.
 
-    Topologies:
+    Each topology is one element list in ``_TOPOLOGIES``:
       * no defect: series R(in,out) with shunt C_self(out,gnd);
       * pillar crack (R_f and C_f): nominal R split evenly around the crack
         at mid-height, R_f in series with the residual path and C_f across it;
-      * full pillar break (crack with C_f only): the path is severed at the
+      * full pillar break (a crack given no R_f): the path is severed at the
         crack, C_f replaces the upper conductive half;
       * capacitive misalignment (C_f): gap at the pillar/RDL contact, C_f in
         place of the contact;
@@ -120,83 +131,49 @@ def build_faulty_circuit(
         nodes, plus the mutual capacitance for RDL lines.
 
     Node naming is deterministic: "in", "m1", "m2", ... and "out"; the bridge
-    partner line runs from "m1" to "m2".  An R_f or C_f the topology has no
-    element for is rejected, as is contact resistance on any other defect.
+    partner line runs from "m1" to "m2".  Elements are numbered R1, R2, ...
+    and C1, C2, ... in list order.  A topology takes exactly the magnitudes
+    its elements name: it needs each named R_f or C_f and rejects any
+    magnitude (or nonzero contact resistance) it does not name.
     """
-    _require(r_fault_ohm is None or 0 < r_fault_ohm < math.inf, "R_f must be positive and finite")
-    _require(c_fault_f is None or 0 < c_fault_f < math.inf, "C_f must be positive and finite")
-    _require(
-        0 <= contact_resistance_ohm < math.inf,
-        "contact resistance must be non-negative and finite",
-    )
-    if contact_resistance_ohm and defect is not PhysicalDefect.RESISTIVE_MISALIGNMENT:
-        raise ParameterError(
-            "the additive contact-resistance term applies to resistive misalignment only"
-        )
-    for value, takes, symbol in ((r_fault_ohm, _TAKES_R_F, "R_f"), (c_fault_f, _TAKES_C_F, "C_f")):
-        if value is not None and defect not in takes:
-            subject = "a defect-free component" if defect is None else defect.value
+    for symbol, value in (("R_f", r_fault_ohm), ("C_f", c_fault_f)):
+        if value is not None and not 0 < value < math.inf:
+            raise ParameterError(f"{symbol} must be positive and finite")
+    if not 0 <= contact_resistance_ohm < math.inf:
+        raise ParameterError("contact resistance must be non-negative and finite")
+    if defect not in _TOPOLOGIES:
+        raise ParameterError(f"unsupported defect kind {defect!r}")
+    full_break = defect is PhysicalDefect.PILLAR_CRACK and r_fault_ohm is None
+    applies_to, elements = _FULL_BREAK if full_break else _TOPOLOGIES[defect]
+    named = {symbol for *_, value in elements for symbol in value.split(" + ")}
+    subject = "a defect-free component" if defect is None else defect.value
+    given = {"R_f": r_fault_ohm, "C_f": c_fault_f, "contact resistance": contact_resistance_ohm}
+    for symbol, value in given.items():
+        if value and symbol not in named:
             raise ParameterError(f"{subject} takes no {symbol}")
     nominal = nominal_parasitics(component, length_um)
-    pillar = component is ComponentKind.CU_PILLAR
-    b = _Builder()
-
-    if defect is None:
-        b.add("R", "in", "out", nominal.resistance_ohm)
-        b.add("C", "out", "gnd", nominal.self_capacitance_f)
-        return b.circuit()
-
-    if defect is PhysicalDefect.PILLAR_CRACK:
-        _require(pillar, "pillar crack applies to the Cu pillar")
-        if r_fault_ohm is None:
-            # Fully severed: no residual conductive path, only C_f matters.
-            _require(c_fault_f is not None, "a full break needs C_f")
-            b.add("R", "in", "m1", nominal.resistance_ohm / 2.0)
-            b.add("C", "m1", "out", c_fault_f)
-        else:
-            _require(c_fault_f is not None, "a crack needs both R_f and C_f")
-            b.add("R", "in", "m1", nominal.resistance_ohm / 2.0)
-            b.add("R", "m1", "m2", r_fault_ohm)
-            b.add("C", "m1", "m2", c_fault_f)
-            b.add("R", "m2", "out", nominal.resistance_ohm / 2.0)
-        b.add("C", "out", "gnd", nominal.self_capacitance_f)
-        return b.circuit()
-
-    if defect is PhysicalDefect.CAPACITIVE_MISALIGNMENT:
-        _require(pillar, "capacitive misalignment applies to the Cu pillar")
-        _require(c_fault_f is not None, "capacitive misalignment needs C_f")
-        b.add("R", "in", "m1", nominal.resistance_ohm)
-        b.add("C", "m1", "out", c_fault_f)
-        b.add("C", "out", "gnd", nominal.self_capacitance_f)
-        return b.circuit()
-
-    if defect in (PhysicalDefect.RESISTIVE_MISALIGNMENT, PhysicalDefect.DAMAGED_RDL):
-        if defect is PhysicalDefect.RESISTIVE_MISALIGNMENT:
-            _require(pillar, "resistive misalignment applies to the Cu pillar")
-        else:
-            _require(not pillar, "damaged RDL applies to the RDL segment")
-        _require(r_fault_ohm is not None, f"{defect.value} needs R_f")
-        b.add("R", "in", "m1", nominal.resistance_ohm)
-        b.add("R", "m1", "out", r_fault_ohm + contact_resistance_ohm)
-        b.add("C", "out", "gnd", nominal.self_capacitance_f)
-        return b.circuit()
-
-    if defect in (PhysicalDefect.PILLAR_BRIDGE, PhysicalDefect.RDL_BRIDGE):
-        if defect is PhysicalDefect.PILLAR_BRIDGE:
-            _require(pillar, "pillar bridge applies to the Cu pillar")
-        else:
-            _require(not pillar, "RDL bridge applies to the RDL segment")
-        _require(r_fault_ohm is not None, f"{defect.value} needs R_f")
-        b.add("R", "in", "out", nominal.resistance_ohm)
-        b.add("C", "out", "gnd", nominal.self_capacitance_f)
-        b.add("R", "m1", "m2", nominal.resistance_ohm)
-        b.add("C", "m2", "gnd", nominal.self_capacitance_f)
-        if nominal.mutual_capacitance_f > 0:
-            b.add("C", "out", "m2", nominal.mutual_capacitance_f)
-        b.add("R", "out", "m2", r_fault_ohm)
-        return b.circuit()
-
-    raise ParameterError(f"unsupported defect kind {defect!r}")
+    if applies_to not in (None, component):
+        raise ParameterError(f"{subject} applies to the {applies_to.value} component only")
+    for symbol in ("R_f", "C_f"):
+        if symbol in named and given[symbol] is None:
+            raise ParameterError(f"{subject} needs {symbol}")
+    magnitudes = {
+        "R": nominal.resistance_ohm,
+        "R/2": nominal.resistance_ohm / 2.0,
+        "C": nominal.self_capacitance_f,
+        "C_m": nominal.mutual_capacitance_f,
+        **given,
+    }
+    counts = {"R": 0, "C": 0}
+    circuit = []
+    for node_a, node_b, value in elements:
+        total = sum(magnitudes[symbol] for symbol in value.split(" + "))
+        if value == "C_m" and not total:
+            continue
+        kind = value[0]
+        counts[kind] += 1
+        circuit.append(CircuitElement(kind, str(counts[kind]), node_a, node_b, total))
+    return EquivalentCircuit(tuple(circuit))
 
 
 def _format_value(value: float) -> str:

@@ -56,10 +56,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_output(text: str, out: str | None) -> None:
+    # Encode first, so that text holding an argument's non-UTF-8 bytes (as
+    # lone surrogates) fails before anything is written.
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise ParameterError(
+            f"output is not valid UTF-8 ({bad!r} at character {exc.start}); "
+            "a text argument holds bytes that are not UTF-8"
+        ) from None
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
 
 
 def _cmd_gen_map(args) -> int:

@@ -46,7 +46,7 @@ from .defects import (
     MagnitudeKind,
     geometry_note,
 )
-from .errors import ParameterError
+from .errors import InversionError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,37 @@ def _signature_of(report: BlockTestReport) -> Signature:
 class FaultDictionary:
     """Signature -> candidate faults, with ambiguity accounting.
 
-    ``signatures_of`` keeps each fault's realizations: one signature for a
-    stuck-at fault, one per wired behavior (wired-AND first) for a bridge.
+    ``signatures_of`` is the one stored table: each fault's realizations,
+    one signature for a stuck-at fault, one per wired behavior (wired-AND
+    first) for a bridge.  The universe, the signature index, the ambiguous
+    pairs and the response table are read-only views derived from it, so
+    they cannot disagree.
     """
 
-    universe: tuple[QuadFault, ...]
-    by_signature: dict[Signature, frozenset[QuadFault]]
     signatures_of: dict[QuadFault, tuple[Signature, ...]]
-    ambiguous_pairs: frozenset[frozenset[QuadFault]]
+
+    @functools.cached_property
+    def universe(self) -> tuple[QuadFault, ...]:
+        """The dictionary's faults, in the order of ``signatures_of``."""
+        return tuple(self.signatures_of)
+
+    @functools.cached_property
+    def by_signature(self) -> dict[Signature, frozenset[QuadFault]]:
+        """Signature -> the faults with a realization that produces it."""
+        table: dict[Signature, set[QuadFault]] = {}
+        for fault, signatures in self.signatures_of.items():
+            for signature in signatures:
+                table.setdefault(signature, set()).add(fault)
+        return {signature: frozenset(faults) for signature, faults in table.items()}
+
+    @functools.cached_property
+    def ambiguous_pairs(self) -> frozenset[frozenset[QuadFault]]:
+        """Unordered fault pairs that share at least one signature."""
+        return frozenset(
+            frozenset(pair)
+            for faults in self.by_signature.values()
+            for pair in combinations(faults, 2)
+        )
 
     @functools.cached_property
     def by_response(self) -> dict:
@@ -137,12 +160,10 @@ class FaultDictionary:
 def build_fault_dictionary() -> FaultDictionary:
     """Simulate all 14 quad faults and collect their response signatures."""
     bump_map = _quad_map()
-    universe = quad_fault_universe()
     signatures_of: dict[QuadFault, tuple[Signature, ...]] = {}
-    for fault in universe:
+    for fault in quad_fault_universe():
         if isinstance(fault, QuadStuckAt):
-            injected = [StuckAt(COLOR_INDEX[fault.color], fault.value)]
-            realizations = [injected]
+            realizations = [[StuckAt(COLOR_INDEX[fault.color], fault.value)]]
         else:
             a, b = COLOR_INDEX[fault.color_a], COLOR_INDEX[fault.color_b]
             realizations = [
@@ -152,21 +173,7 @@ def build_fault_dictionary() -> FaultDictionary:
         signatures_of[fault] = tuple(
             _signature_of(run_block_test(bump_map, faults)[0]) for faults in realizations
         )
-    by_signature: dict[Signature, set[QuadFault]] = {}
-    for fault, signatures in signatures_of.items():
-        for signature in signatures:
-            by_signature.setdefault(signature, set()).add(fault)
-    ambiguous = frozenset(
-        frozenset(pair)
-        for faults in by_signature.values()
-        for pair in combinations(sorted(faults, key=repr), 2)
-    )
-    return FaultDictionary(
-        universe=universe,
-        by_signature={s: frozenset(f) for s, f in by_signature.items()},
-        signatures_of=signatures_of,
-        ambiguous_pairs=ambiguous,
-    )
+    return FaultDictionary(signatures_of)
 
 
 def diagnosability(dictionary: FaultDictionary) -> tuple[Fraction, float]:
@@ -312,19 +319,16 @@ def map_to_defect_range(
         if not is_strictly_monotone(curve):
             warning = "severity curve is not strictly monotone; geometry bound omitted"
         else:
-            f_lo = eval_severity(curve, curve.x_min)
-            f_hi = eval_severity(curve, curve.x_max)
-            increasing = f_hi > f_lo
-            y_lo, y_hi = (f_lo, f_hi) if increasing else (f_hi, f_lo)
 
-            def invert_inside(y: float | None) -> float | None:
-                if y is None or not y_lo <= y <= y_hi:
+            def invert(y: float | None) -> float | None:
+                # A bound outside the curve's range leaves that side open.
+                try:
+                    return None if y is None else invert_severity(curve, y)
+                except InversionError:
                     return None
-                return invert_severity(curve, y)
 
-            x_upper = invert_inside(bound.upper)
-            x_lower = invert_inside(bound.lower)
-            if increasing:
+            x_upper, x_lower = invert(bound.upper), invert(bound.lower)
+            if eval_severity(curve, curve.x_max) > eval_severity(curve, curve.x_min):
                 geometry = GeometryBound(lower=x_lower, upper=x_upper)
             else:
                 geometry = GeometryBound(lower=x_upper, upper=x_lower)

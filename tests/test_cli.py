@@ -166,6 +166,24 @@ def test_netlist_title_with_a_line_break_exits_1(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_netlist_title_not_utf8_exits_1(tmp_path, to_file):
+    # A title with a byte that is not UTF-8 arrives as a lone surrogate.
+    src = str(Path(chipletbist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out_path = tmp_path / "deck.sp"
+    argv = [sys.executable, "-m", "chipletbist.cli", "netlist", "--component", "rdl"]
+    argv += ["--length-um", "5", "--title", b"a\xffb"]
+    argv += ["--out", str(out_path)] if to_file else []
+    proc = subprocess.run(
+        argv, capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=60
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
+    assert not out_path.exists()
+
+
 def test_netlist_full_break_rejects_rf(capsys):
     status, _, err = run_cli(
         capsys,

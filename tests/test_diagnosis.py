@@ -1,8 +1,10 @@
 """Tests for the fault dictionary, diagnosability, matching, and defect ranges."""
 
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,7 @@ from chipletbist.defects import ComponentKind, FunctionalFaultClass, MagnitudeKi
 from chipletbist.diagnosis import (
     BridgeCandidate,
     BumpDiagnosis,
+    FaultDictionary,
     MagnitudeBound,
     QuadBridge,
     QuadStuckAt,
@@ -129,15 +132,28 @@ def test_diagnosability_value():
 
 
 def test_diagnosability_extremes():
-    dictionary = build_fault_dictionary()
-    total = math.comb(14, 2)
-    perfect = replace(dictionary, ambiguous_pairs=frozenset())
+    universe = quad_fault_universe()
+    responses = [DetectorResponse(x, y) for x in (0, 1) for y in (0, 1)]
+    distinct = itertools.product(responses, repeat=4)
+    perfect = FaultDictionary({fault: (next(distinct),) for fault in universe})
+    assert len(perfect.by_signature) == 14 and not perfect.ambiguous_pairs
     assert diagnosability(perfect)[0] == 1
-    worst_pairs = frozenset(
-        frozenset(p) for p in itertools.combinations(dictionary.universe, 2)
-    )
-    assert len(worst_pairs) == total
-    assert diagnosability(replace(dictionary, ambiguous_pairs=worst_pairs))[0] == 0
+    shared = (tuple(responses),)
+    worst = FaultDictionary({fault: shared for fault in universe})
+    assert len(worst.by_signature) == 1
+    assert len(worst.ambiguous_pairs) == math.comb(14, 2)
+    assert diagnosability(worst)[0] == 0
+
+
+def test_dictionary_views_follow_its_one_table():
+    dictionary = build_fault_dictionary()
+    assert [f.name for f in dataclasses.fields(FaultDictionary)] == ["signatures_of"]
+    # The even-index half keeps one ambiguous pair: K sa-0 and the B+K bridge.
+    half = FaultDictionary({f: dictionary.signatures_of[f] for f in dictionary.universe[::2]})
+    assert half.universe == dictionary.universe[::2]
+    assert {f for faults in half.by_signature.values() for f in faults} == set(half.universe)
+    assert half.ambiguous_pairs == {frozenset({QuadStuckAt(K, 0), QuadBridge(B, K)})}
+    assert diagnosability(half)[0] == Fraction(20, 21)
 
 
 def test_diagnose_all_pass_is_empty():
@@ -289,9 +305,7 @@ def test_diagnose_matches_dictionary_scan():
     # Every failing response of the full dictionary is modeled; half of the
     # universe leaves some unmodeled, which the lookup must report as such.
     half = dictionary.universe[::2]
-    partial = replace(
-        dictionary, universe=half, signatures_of={f: dictionary.signatures_of[f] for f in half}
-    )
+    partial = FaultDictionary({f: dictionary.signatures_of[f] for f in half})
     # Every report over the all-adjacent quad: each bump absent or at any response.
     bump_map, graph = quad_fixture()
     choices = [None, *(DetectorResponse(x, y) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))]
