@@ -148,10 +148,36 @@ def test_campaign_matches_full_map_engine(data):
     dictionary = build_fault_dictionary()
     report = run_campaign(config)
     assert report["fault_results"]
+    references = []
     for result in report["fault_results"]:
         fault = fault_from_dict(result["fault"])
+        reference = reference_result(fault, bump_map, graph, dictionary)
         local = {key: result[key] for key in ("detected", "failing", "diagnosis", "diagnosis_hit")}
-        assert local == reference_result(fault, bump_map, graph, dictionary), result["fault"]
+        assert local == reference, result["fault"]
+        references.append((fault, reference))
+    detected = sum(reference["detected"] for _, reference in references)
+    escapes = [fault_to_dict(fault) for fault, reference in references if not reference["detected"]]
+    inter_or = [
+        reference["detected"]
+        for fault, reference in references
+        if isinstance(fault, Bridge)
+        and fault.behavior is BridgeBehavior.WIRED_OR
+        and bump_map.blocks[fault.a] != bump_map.blocks[fault.b]
+    ]
+    inter_or_escaped = inter_or.count(False)
+    assert report["metrics"] == {
+        "injected": len(references),
+        "detected": detected,
+        "detection_rate": detected / len(references),
+        "diagnosis_hits": sum(reference["diagnosis_hit"] for _, reference in references),
+        "escaped": len(escapes),
+        "escapes": escapes,
+        "inter_block_wired_or": {
+            "injected": len(inter_or),
+            "escaped": inter_or_escaped,
+            "escape_rate": inter_or_escaped / len(inter_or) if inter_or else None,
+        },
+    }
 
 
 @pytest.mark.parametrize("data", CONFIGS)
