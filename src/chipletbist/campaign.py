@@ -14,7 +14,8 @@ import json
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from enum import Enum
 from itertools import chain
 from typing import Any
 
@@ -58,7 +59,7 @@ SCHEMA_VERSION = 1
 FailingBumps = list[tuple[int, int, DetectorResponse]]
 
 DEFAULT_KIND_MIX = {"sa": 0.5, "bridge": 0.5}
-DEFAULT_BEHAVIOR_MIX = {"wired-and": 0.5, "wired-or": 0.5}
+DEFAULT_BEHAVIOR_MIX = {behavior.value: 0.5 for behavior in BridgeBehavior}
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,23 @@ def _positive_number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _weights(value: Any, where: str, allowed: set[str]) -> dict[str, float]:
+def _enum_member(enum: type[Enum], value: Any, where: str) -> Any:
+    try:
+        return enum(value)
+    except ValueError:
+        expected = " or ".join(repr(member.value) for member in enum)
+        raise ParameterError(f"{where}: expected {expected}, got {value!r}") from None
+
+
+def _weights(sampler: dict, name: str, default: dict[str, float]) -> dict[str, float]:
+    """The sampler's ``name`` mix, or ``default``, whose keys are the allowed ones."""
+    where = f"config.sampler.{name}"
+    value = sampler.get(name, default)
     if not isinstance(value, dict):
         raise ParameterError(f"{where}: expected an object of weights")
-    unknown = set(value) - allowed
+    unknown = set(value) - set(default)
     if unknown:
-        raise ParameterError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+        raise ParameterError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(default)})")
     weights = {}
     for key, raw in value.items():
         if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0 <= raw < math.inf:
@@ -145,12 +157,7 @@ def fault_from_dict(data: dict, where: str = "fault") -> Fault:
     if kind == "bridge":
         _expect_keys(data, where, {"kind", "a", "b", "behavior"})
         a, b = (_integer(data[end], f"{where}.{end}", 0, "a bump id") for end in ("a", "b"))
-        try:
-            behavior = BridgeBehavior(data["behavior"])
-        except ValueError:
-            raise ParameterError(
-                f"{where}.behavior: expected 'wired-and' or 'wired-or', got {data['behavior']!r}"
-            ) from None
+        behavior = _enum_member(BridgeBehavior, data["behavior"], f"{where}.behavior")
         if a == b:
             raise ParameterError(f"{where}: bridge endpoints must differ")
         return Bridge(a, b, behavior)
@@ -176,14 +183,8 @@ def parse_config(data: dict) -> CampaignConfig:
         raise ParameterError(f"config.version: expected {SCHEMA_VERSION}, got {data['version']!r}")
     raw_map = data["map"]
     _expect_keys(raw_map, "config.map", {"kind", "rows", "cols", "pitch_um"}, {"short_radius_factor"})
-    try:
-        kind = LatticeKind(raw_map["kind"])
-    except ValueError:
-        raise ParameterError(
-            f"config.map.kind: expected 'hexagonal' or 'rectangular', got {raw_map['kind']!r}"
-        ) from None
     map_spec = MapSpec(
-        kind=kind,
+        kind=_enum_member(LatticeKind, raw_map["kind"], "config.map.kind"),
         rows=_integer(raw_map["rows"], "config.map.rows", 1, "a positive integer"),
         cols=_integer(raw_map["cols"], "config.map.cols", 1, "a positive integer"),
         pitch_um=_positive_number(raw_map["pitch_um"], "config.map.pitch_um"),
@@ -221,14 +222,8 @@ def parse_config(data: dict) -> CampaignConfig:
         sampler = SamplerSpec(
             n_faults=n_faults,
             seed=seed,
-            kind_mix=_weights(
-                raw.get("kind_mix", DEFAULT_KIND_MIX), "config.sampler.kind_mix", {"sa", "bridge"}
-            ),
-            behavior_mix=_weights(
-                raw.get("behavior_mix", DEFAULT_BEHAVIOR_MIX),
-                "config.sampler.behavior_mix",
-                {"wired-and", "wired-or"},
-            ),
+            kind_mix=_weights(raw, "kind_mix", DEFAULT_KIND_MIX),
+            behavior_mix=_weights(raw, "behavior_mix", DEFAULT_BEHAVIOR_MIX),
             include_inter_block=include,
         )
     output_report = None
@@ -276,8 +271,8 @@ def config_to_dict(config: CampaignConfig) -> dict:
         out["sampler"] = {
             "n_faults": config.sampler.n_faults,
             "seed": config.sampler.seed,
-            "kind_mix": dict(sorted(config.sampler.kind_mix.items())),
-            "behavior_mix": dict(sorted(config.sampler.behavior_mix.items())),
+            "kind_mix": dict(config.sampler.kind_mix),
+            "behavior_mix": dict(config.sampler.behavior_mix),
             "include_inter_block": config.sampler.include_inter_block,
         }
     if config.output_report is not None:
@@ -331,7 +326,7 @@ def sample_faults(
             f"requested {n_bridge} bridge faults but only {len(edges)} edges are available"
         )
 
-    behaviors = [BridgeBehavior.WIRED_AND, BridgeBehavior.WIRED_OR]
+    behaviors = list(BridgeBehavior)
     behavior_weights = [sampler.behavior_mix.get(b.value, 0.0) for b in behaviors]
     faults: list[Fault] = [
         StuckAt(pick // 2, pick % 2) for pick in rng.sample(range(sa_population), n_sa)
@@ -342,16 +337,12 @@ def sample_faults(
     return tuple(faults)
 
 
-def _response_to_list(response: DetectorResponse) -> list[int]:
-    return [response.x, response.y]
-
-
 def diagnosis_to_dict(entry: BumpDiagnosis, block: int) -> dict:
     return {
         "block": block,
         "bump": entry.bump,
         "color": entry.color.value,
-        "response": _response_to_list(entry.response),
+        "response": list(entry.response),
         "unmodeled": entry.unmodeled,
         "candidates": [fault_to_dict(candidate) for candidate in entry.candidates],
     }
@@ -410,6 +401,35 @@ def diagnose_failing(
     ]
 
 
+def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
+    """One fault's report entry, simulated and diagnosed fault-locally."""
+    failing = _fault_local_failing(bump_map, fault)
+    diagnosis = diagnose_failing(failing, bump_map, graph)
+    wire = fault_to_dict(fault)
+    # A candidate names the fault when it matches the fault's wire form
+    # with the bridge behavior folded away.
+    named = {key: value for key, value in wire.items() if key != "behavior"}
+    return {
+        "fault": wire,
+        "detected": bool(failing),
+        "inter_block": (
+            bump_map.blocks[fault.a] != bump_map.blocks[fault.b]
+            if isinstance(fault, Bridge)
+            else None
+        ),
+        "failing": [
+            {"block": block, "bump": bump, "response": list(response)}
+            for block, bump, response in failing
+        ],
+        "diagnosis": diagnosis,
+        "diagnosis_hit": any(named in entry["candidates"] for entry in diagnosis),
+    }
+
+
+def _rate(count: int, total: int) -> float | None:
+    return count / total if total else None
+
+
 def run_campaign(config: CampaignConfig) -> dict:
     """Run a campaign and return the canonical report object.
 
@@ -418,7 +438,8 @@ def run_campaign(config: CampaignConfig) -> dict:
     diagnosed fault-locally: only the one or two nets it touches are
     resolved, and only their same-block neighborhoods reach ``diagnose``.
     The result equals running the full-map ``run_block_test`` and diagnosing
-    every block, at a cost independent of the map size.
+    every block, at a cost independent of the map size.  The metrics are
+    counts over the finished fault results.
     """
     bump_map, graph = build_campaign_map(config)
     if config.faults is not None:
@@ -432,73 +453,20 @@ def run_campaign(config: CampaignConfig) -> dict:
 
     dictionary = build_fault_dictionary()
     d_fraction, d_decimal = diagnosability(dictionary)
+    fault_results = [_fault_result(fault, bump_map, graph) for fault in faults]
 
-    fault_results = []
-    detected_count = 0
-    diagnosis_hits = 0
-    escapes = []
-    inter_or_total = 0
-    inter_or_escaped = 0
-    for fault in faults:
-        failing_bumps = _fault_local_failing(bump_map, fault)
-        failing = [
-            {"block": block, "bump": bump, "response": _response_to_list(response)}
-            for block, bump, response in failing_bumps
-        ]
-        detected = bool(failing)
-        diagnosis = diagnose_failing(failing_bumps, bump_map, graph)
-        # A candidate names the fault when it matches the fault's wire form
-        # with the bridge behavior folded away.
-        wire = fault_to_dict(fault)
-        wire.pop("behavior", None)
-        hit = any(wire in entry["candidates"] for entry in diagnosis)
-        inter_block = None
-        if isinstance(fault, Bridge):
-            inter_block = bump_map.blocks[fault.a] != bump_map.blocks[fault.b]
-            if inter_block and fault.behavior is BridgeBehavior.WIRED_OR:
-                inter_or_total += 1
-                if not detected:
-                    inter_or_escaped += 1
-        detected_count += detected
-        diagnosis_hits += hit
-        if not detected:
-            escapes.append(fault_to_dict(fault))
-        fault_results.append(
-            {
-                "fault": fault_to_dict(fault),
-                "detected": detected,
-                "inter_block": inter_block,
-                "failing": failing,
-                "diagnosis": diagnosis,
-                "diagnosis_hit": hit,
-            }
-        )
-
-    overhead = overhead_report(bump_map)
-    injected = len(faults)
-    metrics = {
-        "injected": injected,
-        "detected": detected_count,
-        "detection_rate": (detected_count / injected) if injected else None,
-        "diagnosis_hits": diagnosis_hits,
-        "escaped": len(escapes),
-        "escapes": escapes,
-        "inter_block_wired_or": {
-            "injected": inter_or_total,
-            "escaped": inter_or_escaped,
-            "escape_rate": (inter_or_escaped / inter_or_total) if inter_or_total else None,
-        },
-    }
+    detected = sum(result["detected"] for result in fault_results)
+    escapes = [result["fault"] for result in fault_results if not result["detected"]]
+    inter_or_escaped = [
+        not result["detected"]
+        for fault, result in zip(faults, fault_results)
+        if result["inter_block"] and fault.behavior is BridgeBehavior.WIRED_OR
+    ]
     return {
         "version": SCHEMA_VERSION,
         "config": config_to_dict(config),
         "map": _map_section(bump_map, graph),
-        "overhead": {
-            "detector_count": overhead.detector_count,
-            "tpg_count": overhead.tpg_count,
-            "mux_count": overhead.mux_count,
-            "test_cycles": overhead.test_cycles,
-        },
+        "overhead": asdict(overhead_report(bump_map)),
         "diagnosability": {
             "numerator": d_fraction.numerator,
             "denominator": d_fraction.denominator,
@@ -506,7 +474,19 @@ def run_campaign(config: CampaignConfig) -> dict:
             "ambiguous_pairs": len(dictionary.ambiguous_pairs),
         },
         "fault_results": fault_results,
-        "metrics": metrics,
+        "metrics": {
+            "injected": len(fault_results),
+            "detected": detected,
+            "detection_rate": _rate(detected, len(fault_results)),
+            "diagnosis_hits": sum(result["diagnosis_hit"] for result in fault_results),
+            "escaped": len(escapes),
+            "escapes": escapes,
+            "inter_block_wired_or": {
+                "injected": len(inter_or_escaped),
+                "escaped": sum(inter_or_escaped),
+                "escape_rate": _rate(sum(inter_or_escaped), len(inter_or_escaped)),
+            },
+        },
     }
 
 
@@ -542,7 +522,7 @@ _SCALAR_TEXT = {
 }
 _SCALAR_TYPES = frozenset(_SCALAR_TEXT)
 
-# A flat run of at least this many items is encoded by one call to ``json``'s
+# A flat list of at least this many items is encoded by one call to ``json``'s
 # C encoder; a shorter one is written scalar by scalar, which costs less than
 # building an encoder.
 _LONG_RUN = 16
@@ -554,10 +534,11 @@ def canonical_json(obj: Any) -> str:
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"``.  ``json`` writes indented text with its
     pure-Python encoder, so this writer walks the containers itself and
-    appends each piece of text to one list, joined once at the end.  Scalars
-    in short containers are written by their exact type; a flat run of at
-    least ``_LONG_RUN`` scalars, or of non-empty scalar lists, goes to
-    ``json`` unindented in one call, which ``json`` encodes in C.
+    appends each piece of text to one list, joined once at the end.  Dicts
+    are written key by key and scalars in short lists by their exact type; a
+    list of at least ``_LONG_RUN`` scalars, or of that many non-empty scalar
+    lists, goes to ``json`` unindented in one call, which ``json`` encodes in
+    C.
     """
     chunks: list[str] = []
     _write(obj, "\n", "", chunks.append)
@@ -576,17 +557,27 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
         return
     inner = newline + "  "
     separator = "," + inner
-    is_dict = isinstance(value, dict)
+    if isinstance(value, dict):
+        opener = head + "{" + inner
+        for key, child in sorted(value.items()):
+            key = _encode_str(key) if type(key) is str else _key(key)
+            text = _SCALAR_TEXT.get(type(child))
+            if text:
+                emit(f"{opener}{key}: {text(child)}")
+            else:
+                _write(child, inner, f"{opener}{key}: ", emit)
+            opener = separator
+        emit(newline + "}")
+        return
     if len(value) >= _LONG_RUN:
-        if _SCALAR_TYPES.issuperset(map(type, value.values() if is_dict else value)):
+        if _SCALAR_TYPES.issuperset(map(type, value)):
             run = _flat(value, separator)
             emit(head + run[0] + inner)
             emit(run[1:-1])
             emit(newline + run[-1])
             return
         if (
-            not is_dict
-            and {list, tuple}.issuperset(map(type, value))
+            {list, tuple}.issuperset(map(type, value))
             and all(value)
             and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(value)))
         ):
@@ -601,18 +592,6 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
             emit(body.replace("\0", "," + deeper))
             emit(f"{inner}]{newline}]")
             return
-    if is_dict:
-        opener = head + "{" + inner
-        for key, child in sorted(value.items()):
-            key = _encode_str(key) if type(key) is str else _key(key)
-            text = _SCALAR_TEXT.get(type(child))
-            if text:
-                emit(f"{opener}{key}: {text(child)}")
-            else:
-                _write(child, inner, f"{opener}{key}: ", emit)
-            opener = separator
-        emit(newline + "}")
-        return
     opener = head + "[" + inner
     for child in value:
         text = _SCALAR_TEXT.get(type(child))
@@ -640,13 +619,13 @@ def _key(key: Any) -> str:
 
 
 def _flat(value: Any, separator: str) -> str:
-    """``value`` in one encoder call: sorted keys, items joined by ``separator``.
+    """``value`` in one encoder call, items joined by ``separator``.
 
     A flat run holds scalars and lists of scalars, which cannot contain
     themselves, so the circular-reference check would only cost time.
     """
     encoder = json.JSONEncoder(
-        ensure_ascii=False, check_circular=False, sort_keys=True, separators=(separator, ": ")
+        ensure_ascii=False, check_circular=False, separators=(separator, ": ")
     )
     return encoder.encode(value)
 

@@ -48,9 +48,8 @@ class EquivalentCircuit:
         designators = [e.designator for e in self.elements]
         if len(set(designators)) != len(designators):
             raise ParameterError(f"duplicate element designators in {designators}")
-        nodes = {n for e in self.elements for n in (e.node_a, e.node_b)}
         for required in ("in", "out"):
-            if required not in nodes:
+            if required not in self.nodes:
                 raise ParameterError(f'no element touches the reserved "{required}" node')
 
     @property

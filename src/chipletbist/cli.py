@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .bist import BridgeBehavior
 from .bumpmap import COLOR_ORDER, DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind
 # Unused here: perfbench/tracer.py times the map stages by wrapping these names on this module.
 from .bumpmap import (  # noqa: F401
@@ -136,7 +137,7 @@ def _cmd_dictionary(args) -> int:
         lines = ["fault,behavior,green,blue,red,black"]
         for fault in dictionary.universe:
             signatures = dictionary.signatures_of[fault]
-            behaviors = ["-"] if len(signatures) == 1 else ["wired-and", "wired-or"]
+            behaviors = ["-"] if len(signatures) == 1 else [b.value for b in BridgeBehavior]
             for behavior, signature in zip(behaviors, signatures):
                 cells = ["{}|{}".format(*resp) for resp in signature]
                 lines.append(",".join([_quad_fault_name(fault), behavior, *cells]))
@@ -170,16 +171,15 @@ def _cmd_simulate(args) -> int:
     if out is not None:
         metrics = report["metrics"]
         if args.format == "csv":
-            rate = metrics["detection_rate"]
-            inter = metrics["inter_block_wired_or"]
-            sys.stdout.write("injected,detected,detection_rate,inter_block_wired_or_escape_rate\n")
-            sys.stdout.write(
+            rates = (metrics["detection_rate"], metrics["inter_block_wired_or"]["escape_rate"])
+            text = (
+                "injected,detected,detection_rate,inter_block_wired_or_escape_rate\n"
                 f"{metrics['injected']},{metrics['detected']},"
-                f"{'' if rate is None else rate},"
-                f"{'' if inter['escape_rate'] is None else inter['escape_rate']}\n"
+                + ",".join("" if rate is None else str(rate) for rate in rates)
             )
         else:
-            sys.stdout.write(canonical_json(metrics))
+            text = canonical_json(metrics)
+        _write_output(text, None)
     return 0
 
 
@@ -257,7 +257,7 @@ def _cmd_classify(args) -> int:
     else:
         magnitude = FaultMagnitude.capacitance(args.c_farad)
     fault_class = classify_defect(ElectricalScenario(args.scenario), magnitude)
-    sys.stdout.write(fault_class.value + "\n")
+    _write_output(fault_class.value, None)
     return 0
 
 

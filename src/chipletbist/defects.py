@@ -50,8 +50,10 @@ def nominal_parasitics(kind: ComponentKind, length_um: float | None = None) -> N
             self_capacitance_f=CU_PILLAR_SELF_CAPACITANCE_F,
             mutual_capacitance_f=0.0,  # negligible at 20 um pitch
         )
-    if length_um is None or not length_um > 0:
-        raise ParameterError(f"RDL segment needs a positive length, got {length_um}")
+    if length_um is None or not 0 < RDL_RESISTANCE_OHM_PER_UM * length_um < math.inf:
+        raise ParameterError(
+            f"RDL segment needs a positive, finite length with a nonzero resistance, got {length_um}"
+        )
     return NominalParasitics(
         resistance_ohm=RDL_RESISTANCE_OHM_PER_UM * length_um,
         self_capacitance_f=(1.0 + (length_um / 5.0 - 1.0) * 0.72) * 0.7e-15,

@@ -76,7 +76,6 @@ def quad_fault_universe() -> tuple[QuadFault, ...]:
     return tuple(faults)
 
 
-@functools.cache
 def _quad_map() -> BumpMap:
     # One bump per color in a single block; any pair may bridge.
     lattice = Lattice(LatticeKind.RECTANGULAR, rows=1, cols=4, pitch_um=20.0)
@@ -166,10 +165,7 @@ def build_fault_dictionary() -> FaultDictionary:
             realizations = [[StuckAt(COLOR_INDEX[fault.color], fault.value)]]
         else:
             a, b = COLOR_INDEX[fault.color_a], COLOR_INDEX[fault.color_b]
-            realizations = [
-                [Bridge(a, b, BridgeBehavior.WIRED_AND)],
-                [Bridge(a, b, BridgeBehavior.WIRED_OR)],
-            ]
+            realizations = [[Bridge(a, b, behavior)] for behavior in BridgeBehavior]
         signatures_of[fault] = tuple(
             _signature_of(run_block_test(bump_map, faults)[0]) for faults in realizations
         )

@@ -240,6 +240,7 @@ def test_netlist_missing_magnitude_exits_1(capsys):
         ("--component", "rdl", "--defect", "damaged-rdl", "--length-um", "5", "--rf-ohm", "inf"),
         ("--component", "cu-pillar", "--defect", "capacitive-misalignment", "--cf-farad", "inf"),
         ("--component", "rdl", "--length-um", "inf"),
+        ("--component", "rdl", "--length-um", "5e-324"),
         (
             "--component",
             "cu-pillar",
@@ -251,7 +252,7 @@ def test_netlist_missing_magnitude_exits_1(capsys):
             "1e308",
         ),
     ],
-    ids=["rf-inf", "cf-inf", "length-inf", "sum-overflows"],
+    ids=["rf-inf", "cf-inf", "length-inf", "length-underflows", "sum-overflows"],
 )
 def test_netlist_non_finite_value_exits_1(capsys, flags):
     status, out, err = run_cli(capsys, "netlist", *flags)
@@ -259,6 +260,8 @@ def test_netlist_non_finite_value_exits_1(capsys, flags):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "finite" in err
+    if flags[-2] == "--length-um":
+        assert "length" in err and flags[-1] in err
 
 
 def test_netlist_subnormal_value(capsys):

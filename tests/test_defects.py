@@ -51,9 +51,11 @@ def test_rdl_scaling_is_affine_in_length():
     )
 
 
-@pytest.mark.parametrize("length", [None, 0.0, -3.0])
+# An infinite length, or one so short that its resistance underflows to 0,
+# is rejected by name rather than as a deck element's value.
+@pytest.mark.parametrize("length", [None, 0.0, -3.0, math.inf, 5e-324])
 def test_rdl_requires_positive_length(length):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=f"length.*got {length}$"):
         nominal_parasitics(ComponentKind.RDL_SEGMENT, length)
 
 
