@@ -48,7 +48,7 @@ from .diagnosis import (
     BumpDiagnosis,
     Candidate,
     build_fault_dictionary,
-    diagnosability,
+    diagnosability_ratio,
     diagnose,
 )
 from .errors import ParameterError
@@ -452,7 +452,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             raise ParameterError(f"fault {fault_to_dict(fault)} references a bump outside the map")
 
     dictionary = build_fault_dictionary()
-    d_fraction, d_decimal = diagnosability(dictionary)
+    numerator, denominator = diagnosability_ratio(dictionary)
     fault_results = [_fault_result(fault, bump_map, graph) for fault in faults]
 
     detected = sum(result["detected"] for result in fault_results)
@@ -468,9 +468,9 @@ def run_campaign(config: CampaignConfig) -> dict:
         "map": _map_section(bump_map, graph),
         "overhead": asdict(overhead_report(bump_map)),
         "diagnosability": {
-            "numerator": d_fraction.numerator,
-            "denominator": d_fraction.denominator,
-            "decimal": d_decimal,
+            "numerator": numerator,
+            "denominator": denominator,
+            "decimal": numerator / denominator,
             "ambiguous_pairs": len(dictionary.ambiguous_pairs),
         },
         "fault_results": fault_results,

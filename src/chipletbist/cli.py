@@ -16,13 +16,6 @@ from pathlib import Path
 from . import __version__
 from .bist import BridgeBehavior
 from .bumpmap import COLOR_ORDER, DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind
-# Unused here: perfbench/tracer.py times the map stages by wrapping these names on this module.
-from .bumpmap import (  # noqa: F401
-    assign_codewords,
-    build_bump_map,
-    partition_blocks,
-    potential_short_graph,
-)
 from .campaign import (
     SCHEMA_VERSION,
     CampaignConfig,
@@ -33,17 +26,51 @@ from .campaign import (
     rediagnose_report,
     run_campaign,
 )
-from .circuits import build_faulty_circuit, emit_netlist
-from .curves import MAX_POLYNOMIAL_DEGREE, CurveFamily, fit_severity_curve, load_samples_csv
-from .defects import (
-    ComponentKind,
-    ElectricalScenario,
-    FaultMagnitude,
-    PhysicalDefect,
-    classify_defect,
-)
-from .diagnosis import QuadStuckAt, build_fault_dictionary, diagnosability
+from .diagnosis import QuadStuckAt, build_fault_dictionary, diagnosability_ratio
 from .errors import FitError, InversionError, ParameterError, SimulationError
+from .kinds import (
+    MAX_POLYNOMIAL_DEGREE,
+    ComponentKind,
+    CurveFamily,
+    ElectricalScenario,
+    PhysicalDefect,
+)
+
+# The tracer's hook: perfbench/tracer.py times layers by wrapping these eight
+# names on this module, and all eight go once the program traces itself.  The
+# four bumpmap imports are unused here.  The four functions forward to
+# circuits, curves and defects, which load when a command first calls one, so
+# the other commands never import those modules.
+from .bumpmap import (  # noqa: F401
+    assign_codewords,
+    build_bump_map,
+    partition_blocks,
+    potential_short_graph,
+)
+
+
+def classify_defect(scenario, magnitude):
+    from .defects import classify_defect
+
+    return classify_defect(scenario, magnitude)
+
+
+def emit_netlist(circuit, title):
+    from .circuits import emit_netlist
+
+    return emit_netlist(circuit, title)
+
+
+def fit_severity_curve(samples, family, degree):
+    from .curves import fit_severity_curve
+
+    return fit_severity_curve(samples, family, degree=degree)
+
+
+def load_samples_csv(path):
+    from .curves import load_samples_csv
+
+    return load_samples_csv(path)
 
 
 class _UsageError(Exception):
@@ -104,7 +131,7 @@ def _quad_fault_name(fault) -> str:
 
 def _cmd_dictionary(args) -> int:
     dictionary = build_fault_dictionary()
-    d_fraction, d_decimal = diagnosability(dictionary)
+    numerator, denominator = diagnosability_ratio(dictionary)
     pairs = sorted(
         tuple(sorted(_quad_fault_name(f) for f in pair)) for pair in dictionary.ambiguous_pairs
     )
@@ -124,9 +151,9 @@ def _cmd_dictionary(args) -> int:
         payload = {
             "version": SCHEMA_VERSION,
             "diagnosability": {
-                "numerator": d_fraction.numerator,
-                "denominator": d_fraction.denominator,
-                "decimal": d_decimal,
+                "numerator": numerator,
+                "denominator": denominator,
+                "decimal": numerator / denominator,
             },
             "ambiguous_pairs": [list(p) for p in pairs],
             "entries": entries,
@@ -150,8 +177,7 @@ def _cmd_dictionary(args) -> int:
     for left, right in pairs:
         lines.append(f"  {left}  <->  {right}")
     lines.append(
-        f"diagnosability D = {d_fraction.numerator}/{d_fraction.denominator}"
-        f" = {d_decimal:.5f}"
+        f"diagnosability D = {numerator}/{denominator} = {numerator / denominator:.5f}"
     )
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -206,6 +232,8 @@ _DEFECT_CHOICES = {
 
 
 def _cmd_netlist(args) -> int:
+    from .circuits import build_faulty_circuit
+
     component = ComponentKind(args.component)
     defect = _DEFECT_CHOICES[args.defect]
     if defect == "bridge":
@@ -250,6 +278,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .defects import FaultMagnitude
+
     if (args.r_ohm is None) == (args.c_farad is None):
         raise ParameterError("classify needs exactly one of --r-ohm and --c-farad")
     if args.r_ohm is not None:

@@ -7,7 +7,9 @@ transformed variable: log-linear is degree 1 in ln x, exponential is degree 1
 in x fitted against ln y, and a polynomial is degree d in x.  The normal
 equations are summed with ``math.fsum`` and solved by LU elimination with
 partial pivoting, in plain Python.  Monotone curves invert by bisection,
-which turns magnitude bounds into defect-geometry bounds.
+which turns magnitude bounds into defect-geometry bounds.  ``CurveFamily``
+and ``MAX_POLYNOMIAL_DEGREE`` come from the shared vocabulary module
+``chipletbist.kinds`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -16,23 +18,16 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
 from .errors import FitError, InversionError, ParameterError
+from .kinds import MAX_POLYNOMIAL_DEGREE, CurveFamily
 
-MAX_POLYNOMIAL_DEGREE = 3
 BISECTION_MAX_ITERATIONS = 200
 
 _NON_FINITE = "degenerate samples: fit produced non-finite coefficients"
 _SINGULAR = "degenerate samples: normal equations are singular (Singular matrix)"
-
-
-class CurveFamily(Enum):
-    LOG_LINEAR = "log-linear"
-    EXPONENTIAL = "exponential"
-    POLYNOMIAL = "polynomial"
 
 
 @dataclass(frozen=True)

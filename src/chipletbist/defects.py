@@ -4,7 +4,8 @@ Nominal parasitics cover the two interconnect component kinds (Cu pillar and
 RDL segment).  Physical defect kinds map, via the net they afflict, to
 electrical scenarios, and the classifier turns an extracted fault magnitude
 (open-gap capacitance or short resistance) into the functional fault class it
-causes, if any.
+causes, if any.  The component kinds, defect kinds and scenarios come from
+the shared vocabulary module ``chipletbist.kinds`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
+from .kinds import ComponentKind, ElectricalScenario, PhysicalDefect
 
 CU_PILLAR_DIAMETER_UM = 20.0
 CU_PILLAR_HEIGHT_UM = 20.0
@@ -23,11 +25,6 @@ CU_PILLAR_RESISTANCE_OHM = 1.11e-3
 CU_PILLAR_SELF_CAPACITANCE_F = 3.21e-15
 RDL_RESISTANCE_OHM_PER_UM = 4.31e-3
 RDL_MUTUAL_CAPACITANCE_F_PER_UM = 0.092e-15
-
-
-class ComponentKind(Enum):
-    CU_PILLAR = "cu-pillar"
-    RDL_SEGMENT = "rdl"
 
 
 @dataclass(frozen=True)
@@ -59,28 +56,6 @@ def nominal_parasitics(kind: ComponentKind, length_um: float | None = None) -> N
         self_capacitance_f=(1.0 + (length_um / 5.0 - 1.0) * 0.72) * 0.7e-15,
         mutual_capacitance_f=RDL_MUTUAL_CAPACITANCE_F_PER_UM * length_um,
     )
-
-
-class PhysicalDefect(Enum):
-    """Hard-defect kinds observed in the two component kinds."""
-
-    PILLAR_CRACK = "pillar-crack"
-    RESISTIVE_MISALIGNMENT = "resistive-misalignment"
-    CAPACITIVE_MISALIGNMENT = "capacitive-misalignment"
-    PILLAR_BRIDGE = "pillar-bridge"
-    RDL_BRIDGE = "rdl-bridge"
-    DAMAGED_RDL = "damaged-rdl"
-
-
-class ElectricalScenario(Enum):
-    """Electrical role of a defect once the afflicted net is declared."""
-
-    VDD_OPEN = "vdd-open"
-    VSS_OPEN = "vss-open"
-    SIGNAL_OPEN = "signal-open"
-    SHORT_TO_VDD = "short-to-vdd"
-    SHORT_TO_VSS = "short-to-vss"
-    SIGNAL_SHORT = "signal-short"
 
 
 class NetClass(Enum):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
+from typing import TYPE_CHECKING
 
 from .bist import (
     Bridge,
@@ -38,15 +38,10 @@ from .bumpmap import (
     LatticeKind,
     build_bump_map,
 )
-from .curves import SeverityCurve, eval_severity, invert_severity, is_strictly_monotone
-from .defects import (
-    _CLASSIFY_RULES,
-    ComponentKind,
-    FunctionalFaultClass,
-    MagnitudeKind,
-    geometry_note,
-)
-from .errors import InversionError, ParameterError
+from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -172,11 +167,20 @@ def build_fault_dictionary() -> FaultDictionary:
     return FaultDictionary(signatures_of)
 
 
+def diagnosability_ratio(dictionary: FaultDictionary) -> tuple[int, int]:
+    """D in lowest terms, as (numerator, denominator), with no Fraction."""
+    total = comb(len(dictionary.universe), 2)
+    told_apart = total - len(dictionary.ambiguous_pairs)
+    common = gcd(told_apart, total)
+    return told_apart // common, total // common
+
+
 def diagnosability(dictionary: FaultDictionary) -> tuple[Fraction, float]:
     """Fraction of unordered fault pairs told apart by their signatures."""
-    total = comb(len(dictionary.universe), 2)
-    d = Fraction(total - len(dictionary.ambiguous_pairs), total)
-    return d, float(d)
+    from fractions import Fraction
+
+    numerator, denominator = diagnosability_ratio(dictionary)
+    return Fraction(numerator, denominator), numerator / denominator
 
 
 @dataclass(frozen=True)
@@ -247,94 +251,18 @@ def diagnose(
     return diagnoses
 
 
-@dataclass(frozen=True)
-class MagnitudeBound:
-    """Open interval on the defect magnitude; None means unbounded on that side."""
-
-    kind: MagnitudeKind
-    lower: float | None
-    upper: float | None
+# The defect-range estimates live in ``ranges``, which imports the curves and
+# defects modules; they load when first read from here (PEP 562).
+_RANGE_NAMES = ("MagnitudeBound", "GeometryBound", "DefectRangeEstimate", "map_to_defect_range")
 
 
-@dataclass(frozen=True)
-class GeometryBound:
-    lower: float | None
-    upper: float | None
+def __getattr__(name: str):
+    if name in _RANGE_NAMES:
+        from . import ranges
+
+        return getattr(ranges, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class DefectRangeEstimate:
-    functional_class: FunctionalFaultClass
-    magnitude_bound: MagnitudeBound
-    geometry_bound: GeometryBound | None
-    note: str | None
-    warning: str | None = None
-
-
-# One bound per functional class, read off the classifier's rule table.
-_CLASS_BOUNDS = {
-    fault_class: MagnitudeBound(kind, lower, upper)
-    for kind, lower, upper, fault_class in _CLASSIFY_RULES.values()
-}
-
-
-def _default_class(candidate: Candidate | Bridge) -> FunctionalFaultClass:
-    if isinstance(candidate, (BridgeCandidate, Bridge)):
-        return FunctionalFaultClass.WIRED_AND
-    if isinstance(candidate, StuckAt):
-        return (
-            FunctionalFaultClass.SIGNAL_SA1
-            if candidate.value == 1
-            else FunctionalFaultClass.SIGNAL_SA0
-        )
-    raise ParameterError(f"cannot infer a functional class for {candidate!r}")
-
-
-def map_to_defect_range(
-    candidate: Candidate | Bridge,
-    component: ComponentKind,
-    curve: SeverityCurve | None = None,
-    functional_class: FunctionalFaultClass | None = None,
-) -> DefectRangeEstimate:
-    """Attach the magnitude bound of a diagnosed fault, and a geometry bound.
-
-    By default a bridge maps to the signal-signal short bound and a stuck-at
-    fault to the short-to-power/ground bound of its stuck value; pass
-    ``functional_class`` explicitly for the open-defect interpretations
-    (e.g. an output SA-0 caused by a power open).  When a strictly monotone
-    severity curve magnitude = f(geometry) is supplied, the magnitude bound
-    is inverted into a bound on the defect geometry.
-    """
-    fault_class = functional_class or _default_class(candidate)
-    if fault_class not in _CLASS_BOUNDS:
-        raise ParameterError(f"{fault_class.value} has no tabulated magnitude bound")
-    bound = _CLASS_BOUNDS[fault_class]
-    geometry = None
-    warning = None
-    if curve is not None:
-        if not is_strictly_monotone(curve):
-            warning = "severity curve is not strictly monotone; geometry bound omitted"
-        else:
-
-            def invert(y: float | None) -> float | None:
-                # A bound outside the curve's range leaves that side open.
-                try:
-                    return None if y is None else invert_severity(curve, y)
-                except InversionError:
-                    return None
-
-            x_upper, x_lower = invert(bound.upper), invert(bound.lower)
-            if eval_severity(curve, curve.x_max) > eval_severity(curve, curve.x_min):
-                geometry = GeometryBound(lower=x_lower, upper=x_upper)
-            else:
-                geometry = GeometryBound(lower=x_upper, upper=x_lower)
-            if geometry.lower is None and geometry.upper is None:
-                geometry = None
-                warning = "magnitude bound lies outside the curve's range"
-    return DefectRangeEstimate(
-        functional_class=fault_class,
-        magnitude_bound=bound,
-        geometry_bound=geometry,
-        note=geometry_note(fault_class, component),
-        warning=warning,
-    )
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_RANGE_NAMES})

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +16,11 @@ from chipletbist.cli import main
 
 
 REPO = Path(__file__).resolve().parents[1]
+SRC = Path(chipletbist.__file__).resolve().parents[1]
+# A child interpreter finds the package this test process imported.
+SUBPROCESS_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+)
 
 
 def run_cli(capsys, *argv):
@@ -169,15 +175,11 @@ def test_netlist_title_with_a_line_break_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_netlist_title_not_utf8_exits_1(tmp_path, to_file):
     # A title with a byte that is not UTF-8 arrives as a lone surrogate.
-    src = str(Path(chipletbist.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out_path = tmp_path / "deck.sp"
     argv = [sys.executable, "-m", "chipletbist.cli", "netlist", "--component", "rdl"]
     argv += ["--length-um", "5", "--title", b"a\xffb"]
     argv += ["--out", str(out_path)] if to_file else []
-    proc = subprocess.run(
-        argv, capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=60
-    )
+    proc = subprocess.run(argv, capture_output=True, env=SUBPROCESS_ENV, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
@@ -679,56 +681,163 @@ def test_simulate_unsplittable_sampler_exits_1(tmp_path, capsys, sampler):
 
 
 def test_python_m_cli_runs_dictionary():
-    src = str(Path(chipletbist.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "chipletbist.cli", "dictionary"],
         capture_output=True,
         text=True,
-        env=env,
+        env=SUBPROCESS_ENV,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert "87/91" in proc.stdout
 
 
+def modules_after(code: str, cwd: Path = REPO) -> set[str]:
+    """The modules loaded after ``code`` runs in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=SUBPROCESS_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def main_exits_0(*argv) -> str:
+    return f"from chipletbist.cli import main\nassert main({list(argv)!r}) == 0"
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
-    src = str(Path(chipletbist.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     csv_path = str(REPO / "configs" / "synthetic_bridge_severity.csv")
-    fits = "; ".join(
-        "assert main({!r}) == 0".format(
-            ["fit", "--csv", csv_path, "--family", family, "--out", str(tmp_path / family)]
-        )
+    fits = "\n".join(
+        main_exits_0("fit", "--csv", csv_path, "--family", family, "--out", str(tmp_path / family))
         for family in ("log-linear", "exponential", "polynomial")
     )
-    for statement in ("import chipletbist.cli", "from chipletbist.cli import main; " + fits):
-        code = (
-            f"import sys; {statement}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n", statement
+    for code in ("import chipletbist.cli", fits):
+        loaded = modules_after(code)
+        assert not {m for m in loaded if m.split(".")[0] in ("numpy", "scipy")}, code
 
 
 def test_cli_import_leaves_logging_unloaded():
     # logging loads only when classify_defect warns below the open floor.
-    src = str(Path(chipletbist.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, chipletbist.cli; print('logging' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
+    assert "logging" not in modules_after("import chipletbist.cli")
+
+
+LEAN = {"chipletbist.circuits", "chipletbist.curves", "chipletbist.defects", "chipletbist.ranges"}
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # The BIST and diagnosis commands never load the netlist, severity-curve
+    # or classifier modules; fractions loads for nothing but `dictionary`.
+    report = str(tmp_path / "report.json")
+    config = str(REPO / "configs" / "campaign_16x16_hex.json")
+    lean = {
+        "import chipletbist.cli": "import chipletbist.cli",
+        "gen-map": main_exits_0(
+            "gen-map", "--kind", "hexagonal", "--rows", "4", "--cols", "4",
+            "--pitch-um", "20", "--out", str(tmp_path / "map.json"),
+        ),
+        "dictionary": main_exits_0("dictionary", "--out", str(tmp_path / "dictionary.txt")),
+        "simulate": main_exits_0("simulate", "--config", config, "--out", report),
+        "diagnose": main_exits_0("diagnose", "--report", report, "--out", str(tmp_path / "d.json")),
+    }
+    bare = modules_after("import chipletbist")
+    assert not {m for m in bare if m.startswith("chipletbist.")}
+    assert "fractions" not in bare
+    for name, code in lean.items():
+        loaded = modules_after(code, cwd=tmp_path)
+        assert not loaded & LEAN, name
+        assert name == "dictionary" or "fractions" not in loaded, name
+        assert "chipletbist.cli" in loaded, name
+    # The other three commands still run, each loading its own modules.
+    others = {
+        "netlist": (
+            main_exits_0("netlist", "--component", "rdl", "--length-um", "5",
+                         "--out", str(tmp_path / "deck.sp")),
+            {"chipletbist.circuits", "chipletbist.defects"},
+        ),
+        "fit": (
+            main_exits_0("fit", "--csv", str(REPO / "configs" / "synthetic_bridge_severity.csv"),
+                         "--family", "polynomial", "--out", str(tmp_path / "fit.json")),
+            {"chipletbist.curves"},
+        ),
+        "classify": (
+            main_exits_0("classify", "--scenario", "signal-short", "--r-ohm", "100"),
+            {"chipletbist.defects"},
+        ),
+    }
+    for name, (code, own) in others.items():
+        assert modules_after(code, cwd=tmp_path) & LEAN == own, name
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # The modules the package once imported eagerly stay reachable as attributes.
+    submodules = ["bist", "bumpmap", "campaign", "circuits", "curves", "defects", "diagnosis",
+                  "errors"]
+    code = f"import chipletbist\nfor name in {submodules!r}: getattr(chipletbist, name)"
+    assert {f"chipletbist.{name}" for name in submodules} <= modules_after(code)
+
+
+@pytest.fixture
+def stored_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["simulate", "--config", write_config(tmp_path, CONFIG), "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+# perfbench/tracer.py times each layer by wrapping these names on the cli
+# module; a command that stopped calling its name would leave its span empty.
+TRACED_CALLS = {
+    "classify_defect": ["classify", "--scenario", "signal-short", "--r-ohm", "100"],
+    "emit_netlist": ["netlist", "--component", "rdl", "--length-um", "5"],
+    "fit_severity_curve": ["fit", "--csv", "{csv}", "--family", "polynomial"],
+    "load_samples_csv": ["fit", "--csv", "{csv}", "--family", "exponential"],
+    "load_config": ["simulate", "--config", "{config}", "--out", "{out}"],
+    "run_campaign": ["simulate", "--config", "{config}", "--out", "{out}"],
+    "rediagnose_report": ["diagnose", "--report", "{report}"],
+    "canonical_json": ["gen-map", "--kind", "rectangular", "--rows", "3", "--cols", "3",
+                       "--pitch-um", "20"],
+    "build_fault_dictionary": ["dictionary", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CALLS))
+def test_commands_call_the_names_the_tracer_wraps(
+    monkeypatch, capsys, tmp_path, stored_report, name
+):
+    import chipletbist.cli as cli
+
+    real, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    fields = {
+        "csv": str(REPO / "configs" / "synthetic_bridge_severity.csv"),
+        "config": write_config(tmp_path, CONFIG),
+        "out": str(tmp_path / "again.json"),
+        "report": stored_report,
+    }
+    argv = [arg.format(**fields) for arg in TRACED_CALLS[name]]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls, f"{argv[0]} did not call cli.{name}"
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("setuptools") is None, reason="setuptools is not installed"
+)
+def test_version_reads_statically_from_pyproject():
+    # `pip install -e .` reads the version through `attr:`; setuptools must
+    # find the literal without importing the (lazy) package.
+    code = (
+        "from setuptools.config.pyprojecttoml import read_configuration\n"
+        "version = read_configuration('pyproject.toml')['project']['version']\n"
+        f"assert version == {chipletbist.__version__!r}, version"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert not {m for m in modules_after(code) if m.split(".")[0] == "chipletbist"}

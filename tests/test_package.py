@@ -1,0 +1,81 @@
+"""Tests for the package's public surface, which loads on first use."""
+
+import importlib
+
+import pytest
+
+import chipletbist
+from chipletbist import curves, defects, kinds
+
+# The public names by the module that first exported them, in export order.
+EXPORTS = {
+    "bist": (
+        "Bridge", "BridgeBehavior", "BlockTestReport", "CODEWORDS", "DetectorResponse",
+        "Fault", "OverheadReport", "Pattern3", "StuckAt", "TestSchedule", "bump_response",
+        "detector_accepts", "fsm_schedule", "overhead_report", "pattern_for",
+        "resolve_net_values", "run_block_test",
+    ),
+    "bumpmap": (
+        "AdjacencyGraph", "BumpMap", "COLOR_ORDER", "Color", "DEFAULT_SHORT_RADIUS_FACTOR",
+        "Lattice", "LatticeKind", "assign_codewords", "build_bump_map", "partition_blocks",
+        "potential_short_graph",
+    ),
+    "campaign": (
+        "CampaignConfig", "MapSpec", "SamplerSpec", "canonical_json", "load_config",
+        "parse_config", "run_campaign", "sample_faults",
+    ),
+    "circuits": ("CircuitElement", "EquivalentCircuit", "build_faulty_circuit", "emit_netlist"),
+    "curves": (
+        "CurveFamily", "SeverityCurve", "eval_severity", "fit_severity_curve",
+        "invert_severity", "load_samples_csv",
+    ),
+    "defects": (
+        "ComponentKind", "ElectricalScenario", "FaultMagnitude", "FunctionalFaultClass",
+        "NetClass", "NominalParasitics", "PhysicalDefect", "classify_defect",
+        "nominal_parasitics", "scenario_for",
+    ),
+    "diagnosis": (
+        "BridgeCandidate", "BumpDiagnosis", "DefectRangeEstimate", "FaultDictionary",
+        "QuadBridge", "QuadStuckAt", "build_fault_dictionary", "diagnosability", "diagnose",
+        "map_to_defect_range",
+    ),
+    "errors": (
+        "ColoringError", "FitError", "InversionError", "KitError", "ParameterError",
+        "SimulationError",
+    ),
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+def test_all_lists_the_72_public_names_in_order():
+    assert len(NAMES) == 72
+    assert chipletbist.__all__ == NAMES
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in EXPORTS.items() for name in names]
+)
+def test_public_name_is_the_modules_object(module, name):
+    source = importlib.import_module(f"chipletbist.{module}")
+    assert getattr(chipletbist, name) is getattr(source, name)
+    assert name in dir(chipletbist)
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from chipletbist import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(NAMES)
+
+
+def test_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        chipletbist.nope
+    assert str(info.value) == "module 'chipletbist' has no attribute 'nope'"
+
+
+def test_shared_vocabulary_is_defined_once():
+    assert defects.ComponentKind is kinds.ComponentKind
+    assert defects.PhysicalDefect is kinds.PhysicalDefect
+    assert defects.ElectricalScenario is kinds.ElectricalScenario
+    assert curves.CurveFamily is kinds.CurveFamily
+    assert curves.MAX_POLYNOMIAL_DEGREE == kinds.MAX_POLYNOMIAL_DEGREE
