@@ -113,6 +113,13 @@ def _integer(
     return value
 
 
+def _expect_version(value: Any, where: str) -> None:
+    """The schema version, as the JSON integer itself: ``true`` and ``1.0`` are not 1."""
+    expected = str(SCHEMA_VERSION)
+    if _integer(value, where, expected=expected) != SCHEMA_VERSION:
+        raise ParameterError(f"{where}: expected {expected}, got {value!r}")
+
+
 def _positive_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
         raise ParameterError(f"{where}: expected a positive number, got {value!r}")
@@ -179,8 +186,7 @@ def parse_config(data: dict) -> CampaignConfig:
     _expect_keys(
         data, "config", {"version", "map", "block_count"}, {"faults", "sampler", "output"}
     )
-    if data["version"] != SCHEMA_VERSION:
-        raise ParameterError(f"config.version: expected {SCHEMA_VERSION}, got {data['version']!r}")
+    _expect_version(data["version"], "config.version")
     raw_map = data["map"]
     _expect_keys(raw_map, "config.map", {"kind", "rows", "cols", "pitch_um"}, {"short_radius_factor"})
     map_spec = MapSpec(
@@ -499,24 +505,13 @@ def _map_section(bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     }
 
 
-def _float_text(value: float) -> str:
-    """A float as ``json`` writes it: ``float.__repr__``, or NaN or +-Infinity."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 # How ``json`` writes a scalar of each exact type.  Other types, int and str
 # subclasses among them, go to the encoder (``_scalar``).
 _encode_str = json.encoder.encode_basestring
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
-    float: _float_text,
+    float: lambda value: float.__repr__(value) if math.isfinite(value) else json.dumps(value),
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
@@ -535,10 +530,11 @@ def canonical_json(obj: Any) -> str:
     ensure_ascii=False) + "\\n"``.  ``json`` writes indented text with its
     pure-Python encoder, so this writer walks the containers itself and
     appends each piece of text to one list, joined once at the end.  Dicts
-    are written key by key and scalars in short lists by their exact type; a
-    list of at least ``_LONG_RUN`` scalars, or of that many non-empty scalar
-    lists, goes to ``json`` unindented in one call, which ``json`` encodes in
-    C.
+    are written key by key and scalars in short lists by their exact type: a
+    finite float as ``float.__repr__``, as ``json`` writes it, and ``NaN`` or
+    ``Infinity`` by ``json`` itself.  A list of at least ``_LONG_RUN``
+    scalars, or of that many non-empty scalar lists, goes to ``json``
+    unindented in one call, which ``json`` encodes in C.
     """
     chunks: list[str] = []
     _write(obj, "\n", "", chunks.append)
@@ -681,8 +677,7 @@ def rediagnose_report(report: dict) -> dict:
         "report",
         {"version", "config", "map", "overhead", "diagnosability", "fault_results", "metrics"},
     )
-    if report["version"] != SCHEMA_VERSION:
-        raise ParameterError(f"report.version: expected {SCHEMA_VERSION}")
+    _expect_version(report["version"], "report.version")
     config = parse_config(report["config"])
     if not isinstance(report["fault_results"], list):
         raise ParameterError("report.fault_results: expected a list")

@@ -176,17 +176,9 @@ def build_faulty_circuit(
 
 
 def _format_value(value: float) -> str:
-    """Scientific notation, mantissa with 6 fractional digits, bare exponent."""
-    exponent = math.floor(math.log10(value))
-    # Below 1e-307, 10**exponent is itself subnormal (or 0 at -324): scale
-    # value and divisor up by 10**300 so the division keeps full precision.
-    shift = 300 if exponent < -307 else 0
-    mantissa = value * 10.0**shift / 10.0**(exponent + shift)
-    text = f"{mantissa:.6f}"
-    if text.startswith("10."):
-        exponent += 1
-        text = f"{mantissa / 10.0:.6f}"
-    return f"{text}e{exponent}"
+    """Python's ``.6e``, correctly rounded, with a bare exponent: ``1.110000e-3``."""
+    mantissa, exponent = format(value, ".6e").split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def emit_netlist(circuit: EquivalentCircuit, title: str) -> str:

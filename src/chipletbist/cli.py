@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
 from .bist import BridgeBehavior
@@ -27,7 +26,7 @@ from .campaign import (
     run_campaign,
 )
 from .diagnosis import QuadStuckAt, build_fault_dictionary, diagnosability_ratio
-from .errors import FitError, InversionError, ParameterError, SimulationError
+from .errors import KitError, ParameterError, SimulationError
 from .kinds import (
     MAX_POLYNOMIAL_DEGREE,
     ComponentKind,
@@ -95,9 +94,13 @@ def _write_output(text: str, out: str | None) -> None:
             "a text argument holds bytes that are not UTF-8"
         ) from None
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        # The same bytes as --out, whatever the locale's encoding: flush
+        # what the text layer holds, then write beneath it.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data if data.endswith(b"\n") else data + b"\n")
     else:
-        Path(out).write_bytes(data)
+        with open(out, "wb") as handle:
+            handle.write(data)
 
 
 def _cmd_gen_map(args) -> int:
@@ -137,9 +140,7 @@ def _cmd_dictionary(args) -> int:
     )
     if args.format == "json":
         entries = []
-        for signature, faults in sorted(
-            dictionary.by_signature.items(), key=lambda item: repr(item[0])
-        ):
+        for signature, faults in sorted(dictionary.by_signature.items()):
             entries.append(
                 {
                     "signature": {
@@ -361,13 +362,10 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ParameterError, FitError, InversionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (KitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

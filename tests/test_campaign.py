@@ -65,6 +65,8 @@ def test_parse_config_accepts_output_report_path():
     "mutate",
     [
         lambda d: d.update(version=2),
+        lambda d: d.update(version=True),
+        lambda d: d.update(version=1.0),
         lambda d: d.update(extra_field=True),
         lambda d: d["map"].update(shape="hex"),
         lambda d: d["map"].update(kind="triangular"),

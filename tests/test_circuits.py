@@ -2,12 +2,17 @@
 
 import hashlib
 import itertools
+import math
+import random
+import struct
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import pytest
 
 from chipletbist.circuits import (
     CircuitElement,
     EquivalentCircuit,
+    _format_value,
     build_faulty_circuit,
     emit_netlist,
 )
@@ -239,6 +244,70 @@ def test_netlist_number_format_subnormals():
     assert "R2 m out 1.234500e-315\n" in deck
     assert "C1 out gnd 1.000000e-308\n" in deck  # rounding carries into the exponent
     assert "C2 out gnd 2.500000e-307\n" in deck
+
+
+def exact_format(value: float) -> str:
+    """``value``'s exact decimal, rounded half-even to 7 significant digits."""
+    rounded = Context(prec=7, rounding=ROUND_HALF_EVEN).plus(Decimal(value))
+    digits = "".join(map(str, rounded.as_tuple().digits)).ljust(7, "0")
+    return f"{digits[0]}.{digits[1:]}e{rounded.adjusted()}"
+
+
+def double_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def around(value: float) -> tuple[float, float, float]:
+    """``value`` and the doubles one ulp below and above it."""
+    return math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)
+
+
+def random_positive_doubles(rng, count):
+    for _ in range(count):
+        value = double_from_bits(rng.getrandbits(63))
+        if 0 < value < math.inf:
+            yield value
+
+
+def subnormals(rng, count):
+    return (double_from_bits(rng.randrange(1, 2**52)) for _ in range(count))
+
+
+def powers_of_ten():
+    for k in range(-323, 309):
+        yield from around(float(f"1e{k}"))
+
+
+def seven_digit_ties(rng, count):
+    """Doubles nearest to d.dddddd5 x 10^k, and their neighbours."""
+    for _ in range(count):
+        mantissa = rng.randrange(1_000_000, 10_000_000) * 10 + 5
+        yield from around(float(f"{mantissa}e{rng.randrange(-330, 301)}"))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        lambda rng: random_positive_doubles(rng, 20000),
+        lambda rng: subnormals(rng, 3000),
+        lambda rng: powers_of_ten(),
+        lambda rng: seven_digit_ties(rng, 5000),
+    ],
+    ids=["random", "subnormal", "powers-of-ten", "seven-digit-ties"],
+)
+def test_netlist_numbers_are_the_exact_decimal_rounding(values):
+    checked = 0
+    for value in values(random.Random(20260114)):
+        if value > 0:
+            assert _format_value(value) == exact_format(value), value.hex()
+            checked += 1
+    assert checked > 1000
+
+
+def test_netlist_numbers_round_near_ties_by_the_stored_double():
+    # 12.345675 is stored as 12.3456749999..., 1.0079195e-17 as 1.007919500...04e-17.
+    assert _format_value(12.345675) == "1.234567e1"
+    assert _format_value(1.0079195e-17) == "1.007920e-17"
 
 
 # SHA-256 of emit_netlist(circuit, "pin") for every accepted input combination

@@ -283,6 +283,36 @@ def test_netlist_subnormal_value(capsys):
     assert "\nR2 m1 m2 4.940656e-324\n" in out
 
 
+def test_netlist_value_is_rounded_from_the_stored_double(capsys):
+    # 12.345675 is stored as 12.3456749999..., which rounds down.
+    status, out, _ = run_cli(
+        capsys, "netlist", "--component", "cu-pillar", "--defect", "capacitive-misalignment",
+        "--cf-farad", "12.345675",
+    )
+    assert status == 0
+    assert "\nC1 m1 out 1.234567e1\n" in out
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "ascii"])
+@pytest.mark.parametrize(
+    "argv",
+    [("netlist", "--component", "cu-pillar", "--title", "é"), ("dictionary", "--format", "json")],
+    ids=["netlist", "dictionary"],
+)
+def test_stdout_holds_the_out_bytes_under_any_encoding(tmp_path, argv, encoding):
+    out_path = tmp_path / "out"
+    command = [sys.executable, "-m", "chipletbist.cli", *argv]
+    env = dict(SUBPROCESS_ENV, PYTHONIOENCODING=encoding)
+    to_file = subprocess.run(
+        [*command, "--out", str(out_path)], capture_output=True, env=env, timeout=60
+    )
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    data = out_path.read_bytes()
+    proc = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (data if data.endswith(b"\n") else data + b"\n")
+
+
 def test_fit_from_csv(tmp_path, capsys):
     csv_path = tmp_path / "samples.csv"
     rows = ["x,y"] + [f"{x},{5.0 * 2.718281828459045 ** (0.5 * x)}" for x in range(4)]
@@ -607,6 +637,22 @@ def test_diagnose_rejects_report_whose_map_its_config_does_not_build(tmp_path, c
     assert status == 1
     assert out == ""
     assert err.startswith("error: report.map: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("where", ["config", "report"])
+def test_schema_version_must_be_the_json_integer_1(tmp_path, capsys, where, version):
+    config = dict(CONFIG, version=version) if where == "config" else CONFIG
+    argv = ("simulate", "--config", write_config(tmp_path, config))
+    if where == "report":
+        report_path = tmp_path / "report.json"
+        assert run_cli(capsys, *argv, "--out", str(report_path))[0] == 0
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report_path.write_text(json.dumps(dict(report, version=version)), encoding="utf-8")
+        argv = ("diagnose", "--report", str(report_path))
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err == f"error: {where}.version: expected 1, got {version!r}\n"
 
 
 def assert_one_line_error(status, out, err):

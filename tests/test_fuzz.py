@@ -160,7 +160,8 @@ def _run_cli_on_file(tmp_path_factory, argv_prefix, data: bytes) -> int:
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "input"
     path.write_bytes(data)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         return main([*argv_prefix, str(path), "--out", str(work / "out")])
 
 
