@@ -248,10 +248,20 @@ def parse_config(data: dict) -> CampaignConfig:
     )
 
 
+def reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``json`` object hook: a key given twice is an error, not a silent overwrite."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> CampaignConfig:
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=reject_duplicate_keys)
         except (ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and bytes that are not UTF-8.
             raise ParameterError(f"{path}: invalid JSON ({exc})") from None
@@ -387,19 +397,18 @@ def diagnose_failing(
 ) -> list[dict]:
     """Diagnosis entries of one fault's failing bumps, blocks in ascending order.
 
-    Each block with a given response is diagnosed as its own test report:
-    its given responses, plus each same-block neighbor of a failing bump at
-    (1, 1).  Other-block neighbors stay absent, which ``diagnose`` reads as
-    unfalsifiable, exactly as in a full-block report.
+    Every listed response fails (y = 0) and every other bump of a block
+    passed, so each listed block is diagnosed as its own test report: its
+    listed responses, plus their unlisted same-block neighbors at (1, 1).
+    Other-block neighbors stay absent: unfalsifiable, as in a full report.
     """
     responses_of: dict[int, dict[int, DetectorResponse]] = {}
     for block, bump, response in failing:
-        responses_of.setdefault(block, {})[bump] = response
-    for block, bump, response in failing:
-        if response.y == 0:
-            for neighbor in graph.neighbors(bump):
-                if bump_map.blocks[neighbor] == block:
-                    responses_of[block].setdefault(neighbor, NOMINAL_RESPONSE)
+        responses = responses_of.setdefault(block, {})
+        responses[bump] = response
+        for neighbor in graph.neighbors(bump):
+            if bump_map.blocks[neighbor] == block:
+                responses.setdefault(neighbor, NOMINAL_RESPONSE)
     return [
         diagnosis_to_dict(entry, block)
         for block, responses in sorted(responses_of.items())
@@ -631,7 +640,8 @@ def _is_index(value: Any, size: int) -> bool:
 
 
 def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBumps:
-    """Validated (block, bump, response) triples of one stored fault result."""
+    """Validated (block, bump, response) triples of one stored fault result:
+    every listed response fails, [0, 0] or [1, 0]; every other bump passed."""
     if not isinstance(result, dict) or not isinstance(result.get("failing"), list):
         raise ParameterError(f"{where}: expected an object with a 'failing' list")
     failing = []
@@ -653,10 +663,10 @@ def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBum
             raise ParameterError(
                 f"{at}: bump {bump} lies in block {bump_map.blocks[bump]}, not {block}"
             )
-        if not isinstance(response, list) or len(response) != 2 or not all(
-            _is_index(bit, 2) for bit in response
-        ):
-            raise ParameterError(f"{at}.response: expected two 0/1 integers, got {response!r}")
+        if response not in ([0, 0], [1, 0]) or not all(_is_index(bit, 2) for bit in response):
+            raise ParameterError(
+                f"{at}.response: expected a failing response, [0, 0] or [1, 0], got {response!r}"
+            )
         failing.append((block, bump, DetectorResponse(*response)))
     return failing
 
@@ -664,13 +674,13 @@ def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBum
 def rediagnose_report(report: dict) -> dict:
     """Re-derive every fault's diagnosis from a stored campaign report.
 
-    Only failing responses are stored; every other bump of a block must have
-    passed with (1, 1) (a y = 1 response forces x = 1), so the neighborhoods
-    that diagnosis reads can be reconstructed exactly.  A ``map`` section
-    that differs from the map the report's config builds (an edited config
-    would re-diagnose against another graph), or a failing entry that is
-    malformed, names a bump outside its block, or names a bump listed before
-    it, raises ParameterError.
+    Every listed response is a failing one, [0, 0] or [1, 0]; every other
+    bump of a block passed with (1, 1) (a y = 1 response forces x = 1), so
+    the neighborhoods that diagnosis reads can be reconstructed exactly.  A
+    ``map`` section that differs from the map the report's config builds (an
+    edited config would re-diagnose against another graph), or a failing
+    entry that is malformed, holds any other response, names a bump outside
+    its block, or names a bump listed before it, raises ParameterError.
     """
     _expect_keys(
         report,

@@ -23,6 +23,7 @@ from .campaign import (
     canonical_json,
     load_config,
     rediagnose_report,
+    reject_duplicate_keys,
     run_campaign,
 )
 from .diagnosis import QuadStuckAt, build_fault_dictionary, diagnosability_ratio
@@ -213,7 +214,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_diagnose(args) -> int:
     with open(args.report, encoding="utf-8") as handle:
         try:
-            report = json.load(handle)
+            report = json.load(handle, object_pairs_hook=reject_duplicate_keys)
         except (ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and bytes that are not UTF-8.
             raise ParameterError(f"{args.report}: invalid JSON ({exc})") from None

@@ -569,7 +569,8 @@ def _move_to_other_block(result):
 
 
 def _list_bump_twice(result):
-    result["failing"].append(dict(result["failing"][0], response=[1, 1]))
+    # An exact copy, so that only the repeated bump can be rejected.
+    result["failing"].append(dict(result["failing"][0]))
 
 
 @pytest.mark.parametrize(
@@ -581,6 +582,8 @@ def _list_bump_twice(result):
         _set_item("response", [0, 0, 0]),
         _set_item("response", [0, 2]),
         _set_item("response", ["0", "0"]),
+        _set_item("response", [1, 1]),
+        _set_item("response", [0, 1]),
         _drop_failing,
         _list_bump_twice,
     ],
@@ -591,6 +594,8 @@ def _list_bump_twice(result):
         "response-three-bits",
         "response-not-binary",
         "response-not-ints",
+        "response-passing",
+        "response-impossible",
         "failing-missing",
         "bump-listed-twice",
     ],
@@ -665,11 +670,27 @@ NOT_UTF8_JSON = b'\xff\xfe{"version": 1}'
 OVER_NESTED_JSON = b"[" * 200000
 
 
-@pytest.mark.parametrize("data", [NOT_UTF8_JSON, OVER_NESTED_JSON], ids=["not-utf8", "over-nested"])
+def _rows_given_twice(tmp_path, capsys, command):
+    """A valid input of ``command`` with config.map.rows given twice, first as 4:
+    a reader that keeps the last value would run it and exit 0."""
+    path = Path(write_config(tmp_path, CONFIG))
+    if command == "diagnose":
+        config_path, path = path, tmp_path / "report.json"
+        assert run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(path))[0] == 0
+    text = path.read_text(encoding="utf-8")
+    assert text.count('"rows": 6') == 1
+    return text.replace('"rows": 6', '"rows": 4, "rows": 6').encode()
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [lambda *_: NOT_UTF8_JSON, lambda *_: OVER_NESTED_JSON, _rows_given_twice],
+    ids=["not-utf8", "over-nested", "duplicate-key"],
+)
 @pytest.mark.parametrize("command,flag", [("simulate", "--config"), ("diagnose", "--report")])
-def test_unreadable_json_input_exits_1(tmp_path, capsys, command, flag, data):
+def test_unreadable_json_input_exits_1(tmp_path, capsys, command, flag, make_input):
     path = tmp_path / "input.json"
-    path.write_bytes(data)
+    path.write_bytes(make_input(tmp_path, capsys, command))
     assert_one_line_error(*run_cli(capsys, command, flag, str(path)))
 
 

@@ -7,6 +7,8 @@ block, and rediagnosis must equal a reconstruction of every block's report.
 """
 
 import json
+import random
+import re
 
 import pytest
 
@@ -30,6 +32,7 @@ from chipletbist.campaign import (
     run_campaign,
 )
 from chipletbist.diagnosis import BridgeCandidate, build_fault_dictionary, diagnose
+from chipletbist.errors import ParameterError
 
 KINDS = ("hexagonal", "rectangular")
 BLOCK_COUNTS = (1, 2, 3, 8)
@@ -186,22 +189,35 @@ def test_rediagnosis_matches_full_reconstruction(data):
     assert canonical_json(rediagnose_report(report)) == canonical_json(full_rediagnosis(report))
 
 
-def test_rediagnosis_reads_listed_passing_responses_of_neighbors():
-    # A listed y = 1 response other than (1, 1) can falsify a bridge partner.
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("data", CONFIGS)
+def test_rediagnosis_ignores_the_order_of_failing_entries(data, order):
+    report = json.loads(canonical_json(run_campaign(parse_config(data))))
+    expected = canonical_json(rediagnose_report(report))
+    assert any(len(result["failing"]) > 1 for result in report["fault_results"])
+    rng = random.Random(5)
+    for result in report["fault_results"]:
+        if order == "reversed":
+            result["failing"].reverse()
+        else:
+            rng.shuffle(result["failing"])
+    assert canonical_json(rediagnose_report(report)) == expected
+
+
+def test_rediagnosis_rejects_listed_passing_responses():
+    # Only failing bumps are listed: a y = 1 response there is not evidence.
     data = sampled("hexagonal", 2, True)
     report = json.loads(canonical_json(run_campaign(parse_config(data))))
     bump_map, graph = build_campaign_map(parse_config(data))
-    edited = 0
-    for result in report["fault_results"]:
-        for item in list(result["failing"]):
-            for neighbor in graph.neighbors(item["bump"]):
-                if bump_map.blocks[neighbor] == item["block"] and all(
-                    f["bump"] != neighbor for f in result["failing"]
-                ):
-                    result["failing"].append(
-                        {"block": item["block"], "bump": neighbor, "response": [0, 1]}
-                    )
-                    edited += 1
-                    break
-    assert edited
-    assert canonical_json(rediagnose_report(report)) == canonical_json(full_rediagnosis(report))
+    i, failing, block, neighbor = next(
+        (i, result["failing"], item["block"], neighbor)
+        for i, result in enumerate(report["fault_results"])
+        for item in result["failing"]
+        for neighbor in graph.neighbors(item["bump"])
+        if bump_map.blocks[neighbor] == item["block"]
+        and all(f["bump"] != neighbor for f in result["failing"])
+    )
+    failing.append({"block": block, "bump": neighbor, "response": [0, 1]})
+    where = f"report.fault_results[{i}].failing[{len(failing) - 1}].response: "
+    with pytest.raises(ParameterError, match=re.escape(where + "expected a failing response")):
+        rediagnose_report(report)
