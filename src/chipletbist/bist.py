@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .bumpmap import BumpMap, Color
+from .bumpmap import BumpMap, Color, block_sizes
 from .errors import ParameterError, SimulationError
 
 
@@ -305,8 +305,7 @@ def overhead_report(bump_map: BumpMap) -> OverheadReport:
     """
     if bump_map.blocks is None or bump_map.block_count is None:
         raise ParameterError("bump map must be blocked for an overhead report")
-    sizes = [bump_map.blocks.count(k) for k in range(bump_map.block_count)]
-    detectors = max(sizes)
+    detectors = max(block_sizes(bump_map))
     return OverheadReport(
         detector_count=detectors,
         tpg_count=bump_map.block_count,

@@ -4,28 +4,32 @@ The package I/O bumps sit on a rectangular or hexagonal (close-packed)
 lattice.  Bumps that are close enough to short against each other form the
 potential-short adjacency graph.  Because the lattice is regular, every
 partner of a bump within the short radius lies in a small forward window of
-row and column offsets, so the graph is enumerated by scanning that window
-per bump; no spatial index is needed.  Whether a pair can short depends only
-on its window offset and, on a hexagonal lattice, the lower bump's row
-parity, so each such offset class is decided once from the lattice geometry:
-all edges or none, unless its distance is within a rounding tolerance (scaled
-by the lattice extent) of the radius, where each pair is tested on its stored
-positions.  The scan yields each bump's higher neighbours already ascending,
-from which one pass builds the graph's whole state: every bump's ascending
-neighbour tuple and the ascending edge tuple (the edge set is derived from it
-on request).  A proper 4-coloring of the graph decides which of the four test
-codewords each bump receives, and contiguous column bands split the map into
-sequentially tested blocks.
+row and column offsets, and whether a pair can short depends only on its
+window offset and, on a hexagonal lattice, the lower bump's row parity.  So
+each such offset class is decided once from the lattice geometry: all edges
+or none, unless its distance is within a rounding tolerance (scaled by the
+lattice extent) of the radius, where each pair is tested on its stored
+positions when asked.  The graph keeps only those classes and answers
+neighbours, degrees, edges and the edge count by arithmetic on (row,
+column); no list over the map's edges or bumps is built.  A proper
+4-coloring of the graph decides which of the four test codewords each bump
+receives: greedy coloring runs row by row until its colors repeat with the
+lattice's row period, and that period is tiled to the last row.  Contiguous
+column bands split the map into sequentially tested blocks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
+from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import add
 
 from .errors import ColoringError, ParameterError
 
@@ -121,14 +125,19 @@ class BumpMap:
 class AdjacencyGraph:
     """Undirected potential-short graph over bump ids.
 
-    The stored state is each bump's neighbour tuple, ascending, and
-    ``sorted_edges``: every edge once, normalized (a < b), with no
-    self-loops, in ascending order, which is the one edge order every
-    consumer uses.  ``edges`` is not stored: each access builds a frozenset
-    of ``sorted_edges``.  Any edge iterable is reduced to each bump's
-    ascending higher neighbours; one pass over those in bump order fills
-    every neighbour tuple, since a bump meets all its lower neighbours first.
+    Built from any edge iterable, it stores each bump's neighbour tuple,
+    ascending, and ``sorted_edges``: every edge once, normalized (a < b),
+    with no self-loops, in ascending order, which is the one edge order
+    every consumer uses.  ``edges`` is not stored: each access builds a
+    frozenset of ``sorted_edges``.  Every bump id in an edge lies below
+    ``id_bound``.  :func:`potential_short_graph` returns a lattice graph
+    instead, which stores none of this and answers the same queries by
+    arithmetic on (row, column).
     """
+
+    # None, or (shift, window): each bump b >= shift + window has the lower
+    # neighbours of b - shift, moved up by shift, all within window below b.
+    period: tuple[int, int] | None = None
 
     def __init__(
         self,
@@ -145,32 +154,23 @@ class AdjacencyGraph:
                 higher[a].add(b)
             else:
                 higher[b].add(a)
-        self._fill(((a, sorted(higher[a])) for a in sorted(higher)), short_radius_um)
-
-    def _fill(
-        self,
-        higher: Iterable[tuple[int, list[int]]],
-        short_radius_um: float | None,
-    ) -> None:
-        """Set the whole state from (bump, ascending higher neighbours), bumps ascending."""
+        # One pass in bump order fills every neighbour tuple, since a bump
+        # meets all its lower neighbours first.
         lower: defaultdict[int, list[int]] = defaultdict(list)
         neighbors: dict[int, tuple[int, ...]] = {}
-        edges: list[tuple[int, int]] = []
-        for a, above in higher:
+        sorted_edges: list[tuple[int, int]] = []
+        for a in sorted(higher):
+            above = sorted(higher[a])
             for b in above:
                 lower[b].append(a)
-                edges.append((a, b))
-            below = lower.pop(a, None)
-            if below:
-                below += above
-                neighbors[a] = tuple(below)
-            elif above:
-                neighbors[a] = tuple(above)
+                sorted_edges.append((a, b))
+            neighbors[a] = tuple(lower.pop(a, []) + above)
         for b, below in lower.items():
             neighbors[b] = tuple(below)
         self._neighbors = neighbors
-        self.sorted_edges: tuple[tuple[int, int], ...] = tuple(edges)
+        self.sorted_edges: Sequence[tuple[int, int]] = tuple(sorted_edges)
         self.short_radius_um = short_radius_um
+        self.id_bound = max(neighbors, default=-1) + 1
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -180,14 +180,143 @@ class AdjacencyGraph:
         return self._neighbors.get(bump, ())
 
     def degree(self, bump: int) -> int:
-        return len(self._neighbors.get(bump, ()))
+        return len(self.neighbors(bump))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._neighbors.get(a, ())
+        return b in self.neighbors(a)
 
     @property
     def edge_count(self) -> int:
         return len(self.sorted_edges)
+
+
+class _LatticeGraph(AdjacencyGraph):
+    """The potential-short graph of a lattice map, answered by arithmetic.
+
+    It keeps the offset classes :func:`potential_short_graph` accepts, keyed
+    (dr, dc, row parity of the lower bump), each exact (every pair is an
+    edge) or borderline (each pair is tested on the stored positions when
+    asked).  Bump (r, c) meets (r + dr, c + dc) through every accepted class
+    that fits the map, so nothing is stored per bump or per edge.
+    """
+
+    def __init__(self, bump_map: BumpMap, short_radius_um: float, classes: dict) -> None:
+        lattice = bump_map.lattice
+        rows, cols = self._rows, self._cols = lattice.rows, lattice.cols
+        self._positions = bump_map.positions
+        self._limit = short_radius_um * short_radius_um
+        self.short_radius_um = short_radius_um
+        self.id_bound = rows * cols
+        # Per parity of a bump's row, the classes it opens as the lower bump
+        # and, reversed, those its lower partners open, in (dr, dc) order,
+        # which is ascending id: (first, end) row and column it fits, id
+        # offset, exact.
+        offsets: tuple[list, list] = ([], [])
+        for (dr, dc, parity), exact in classes.items():
+            offsets[parity].append((dr, dc, exact))
+            offsets[(parity + dr) % 2].append((-dr, -dc, exact))
+        self._offsets = tuple(
+            [
+                (max(0, -dr), rows - max(0, dr), max(0, -dc), cols - max(0, dc), dr * cols + dc, exact)
+                for dr, dc, exact in sorted(table)
+            ]
+            for table in offsets
+        )
+        self._above = tuple([o for o in table if o[4] > 0] for table in self._offsets)
+        if all(classes.values()):
+            # Rows of one parity open the same classes; the color tiling's
+            # row period is 4 on a hexagonal lattice, 2 on a rectangular one.
+            depth = max((dr for dr, _, _ in classes), default=0)
+            row_period = 4 if lattice.kind is LatticeKind.HEXAGONAL else 2
+            self.period = (row_period * cols, (depth + 1) * cols)
+        self.sorted_edges = _LatticeEdges(self)
+
+    def _close(self, a: int, b: int) -> bool:
+        (xa, ya), (xb, yb) = self._positions[a], self._positions[b]
+        return (xb - xa) * (xb - xa) + (yb - ya) * (yb - ya) <= self._limit
+
+    def _partners(self, bump: int, tables: tuple[list, list]) -> tuple[int, ...]:
+        """The bump's partners, ascending, through the offsets of its row's parity."""
+        r, c = divmod(bump, self._cols)
+        if not 0 <= r < self._rows:
+            return ()
+        return tuple(
+            bump + delta
+            for r_lo, r_end, c_lo, c_end, delta, exact in tables[r % 2]
+            if r_lo <= r < r_end and c_lo <= c < c_end and (exact or self._close(bump, bump + delta))
+        )
+
+    def neighbors(self, bump: int) -> tuple[int, ...]:
+        return self._partners(bump, self._offsets)
+
+
+class _LatticeEdges(Sequence):
+    """A lattice graph's ``sorted_edges``: read-only, computed on request.
+
+    With exact classes only, a row's edges depend only on its parity and on
+    how many rows below it a class can reach.  So the edges of one row of
+    each such kind are found once, as id offsets from the row's first bump,
+    and every row of that kind is those offsets moved to its own start.  A
+    graph with a borderline class walks each row bump by bump instead.  The
+    length and the k-th edge come from per-row edge counts, so
+    ``random.sample`` draws exactly as from the materialized tuple.
+    """
+
+    def __init__(self, graph: _LatticeGraph) -> None:
+        self._graph = graph
+
+    def _kind(self, r: int) -> tuple[int, int]:
+        graph = self._graph
+        return r % 2, min(graph._rows - r, graph.period[1] // graph._cols)
+
+    @cached_property
+    def _patterns(self) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
+        """Each row kind's edges as (lower, upper) offsets from the row's first bump."""
+        graph = self._graph
+        rows, cols = graph._rows, graph._cols
+        patterns: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        # The first two rows and the last rows a class reaches past cover every kind.
+        for r in {*range(min(2, rows)), *range(max(0, rows - graph.period[1] // cols), rows)}:
+            kind, start = self._kind(r), r * cols
+            if kind not in patterns:
+                row = list(self._walk(range(start, start + cols)))
+                patterns[kind] = [a - start for a, _ in row], [b - start for _, b in row]
+        return patterns
+
+    @cached_property
+    def _row_starts(self) -> list[int]:
+        """The number of edges above each row, and in all (last)."""
+        starts = [0]
+        for r in range(self._graph._rows):
+            row = self._patterns[self._kind(r)][0] if self._graph.period else list(self._row(r))
+            starts.append(starts[-1] + len(row))
+        return starts
+
+    def __len__(self) -> int:
+        return self._row_starts[-1]
+
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        starts = self._row_starts
+        if index < 0:
+            index += starts[-1]
+        if not 0 <= index < starts[-1]:
+            raise IndexError("edge index out of range")
+        r = bisect_right(starts, index) - 1
+        return next(islice(self._row(r), index - starts[r], None))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return chain.from_iterable(map(self._row, range(self._graph._rows)))
+
+    def _row(self, r: int) -> Iterator[tuple[int, int]]:
+        start = r * self._graph._cols
+        if self._graph.period is None:
+            return self._walk(range(start, start + self._graph._cols))
+        lower, upper = self._patterns[self._kind(r)]
+        return zip(map(add, repeat(start), lower), map(add, repeat(start), upper))
+
+    def _walk(self, bumps: range) -> Iterator[tuple[int, int]]:
+        above = self._graph._above
+        return ((a, b) for a in bumps for b in self._graph._partners(a, above))
 
 
 def _row_step(lattice: Lattice) -> float:
@@ -239,7 +368,9 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     edge, and one more than tol inside it is all edges, with no float work
     per pair.  Only a class within tol of radius**2 (at a borderline factor
     such as 1, sqrt(2) or 2, where rounding can split it) tests each pair on
-    its stored positions.
+    its stored positions, when a query reaches it.  The returned graph holds
+    the decided classes, not the pairs, so building it costs the number of
+    classes, not of edges.
     """
     limit = short_radius_um * short_radius_um
     if not short_radius_um > 0 or not sys.float_info.min <= limit <= sys.float_info.max:
@@ -262,40 +393,19 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     # Written as 32*eps*(2*reach**2): 2*reach**2 bounds every class's squared
     # distance, so if it overflows tol is inf and every pair is tested.
     tol = 32 * sys.float_info.epsilon * (2 * reach * reach)
-    xs = [x for x, _ in bump_map.positions]
-    ys = [y for _, y in bump_map.positions]
-    # Ids are row-major, so a bump's partners in (dr, dc) window order are
-    # in ascending id order: each higher-neighbour list comes out ascending.
-    higher: list[list[int]] = [[] for _ in range(rows * cols)]
+    classes: dict[tuple[int, int, int], bool] = {}
     for dr in range(dr_max + 1):
         class_dy = dr * row_step
         for dc in range(-dc_max if dr else 1, dc_max + 1):
-            offset = dr * cols + dc
-            c_lo, c_hi = max(0, -dc), min(cols, cols - dc)
             for parity in (0, 1):
                 # An odd hexagonal dr puts the partner half a pitch right of
                 # an even row's bump and half a pitch left of an odd row's.
                 shift = (0.5 - parity) * pitch if hexagonal and dr % 2 else 0.0
                 class_dx = dc * pitch + shift
                 gap = class_dx * class_dx + class_dy * class_dy - limit
-                if gap > tol:
-                    continue
-                row_starts = range(parity * cols, (rows - dr) * cols, 2 * cols)
-                if gap < -tol:
-                    for row_start in row_starts:
-                        for a in range(row_start + c_lo, row_start + c_hi):
-                            higher[a].append(a + offset)
-                    continue
-                for row_start in row_starts:
-                    for a in range(row_start + c_lo, row_start + c_hi):
-                        dx = xs[a + offset] - xs[a]
-                        dy = ys[a + offset] - ys[a]
-                        if dx * dx + dy * dy <= limit:
-                            higher[a].append(a + offset)
-    # Past __init__: these lists need no normalizing, sorting or de-duplicating.
-    graph = AdjacencyGraph.__new__(AdjacencyGraph)
-    graph._fill(enumerate(higher), short_radius_um)
-    return graph
+                if gap <= tol:
+                    classes[dr, dc, parity] = gap < -tol
+    return _LatticeGraph(bump_map, short_radius_um, classes)
 
 
 def periodic_tiling_coloring(lattice: Lattice) -> tuple[Color, ...]:
@@ -319,17 +429,30 @@ def periodic_tiling_coloring(lattice: Lattice) -> tuple[Color, ...]:
 
 
 def _greedy_coloring(bump_count: int, graph: AdjacencyGraph) -> tuple[Color, ...] | None:
-    """Smallest-available-color in bump-id order; None if a 5th color is needed."""
-    assigned: list[int] = []
+    """Smallest-available color in bump-id order; None if a 5th color is needed.
+
+    On a graph with a ``period`` (shift, window), a bump's color follows
+    from the colors of the window below it as the color shift ids earlier
+    follows from its window.  So once, at a multiple of shift, the last
+    window of colors repeats the one shift earlier, every later color
+    repeats too, and the last shift colors are tiled to the end.
+    """
+    shift, window = graph.period or (0, 0)
+    assigned: list[Color] = []
     for b in range(bump_count):
+        if shift and b % shift == 0 and b >= shift + window:
+            if assigned[b - window :] == assigned[b - window - shift : b - shift]:
+                whole, part = divmod(bump_count - b, shift)
+                tile = assigned[b - shift :]
+                return tuple(assigned + tile * whole + tile[:part])
         used = {assigned[n] for n in graph.neighbors(b) if n < b}
-        color = 0
-        while color in used:
-            color += 1
-        if color >= len(COLOR_ORDER):
+        for color in COLOR_ORDER:
+            if color not in used:
+                break
+        else:
             return None
         assigned.append(color)
-    return tuple(COLOR_ORDER[i] for i in assigned)
+    return tuple(assigned)
 
 
 def coloring_violations(
@@ -344,17 +467,18 @@ def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:
 
     Greedy (smallest available color in bump-id order) runs first; when it
     would need a 5th color the periodic lattice tiling is used instead,
-    provided it is proper on the given graph.  A 5th color is never emitted
-    silently.
+    provided it is proper on the given graph, which the first clash
+    disproves.  A 5th color is never emitted silently.
     """
     bump_count = bump_map.bump_count
-    if max(graph._neighbors, default=-1) >= bump_count:
-        a, b = next(e for e in graph.sorted_edges if e[1] >= bump_count)
-        raise ParameterError(f"edge ({a}, {b}) references a bump outside the map")
+    if graph.id_bound > bump_count:
+        foreign = next((e for e in graph.sorted_edges if e[1] >= bump_count), None)
+        if foreign:
+            raise ParameterError(f"edge {foreign} references a bump outside the map")
     coloring = _greedy_coloring(bump_count, graph)
     if coloring is None:
         tiling = periodic_tiling_coloring(bump_map.lattice)
-        if coloring_violations(tiling, graph):
+        if any(tiling[a] is tiling[b] for a, b in graph.sorted_edges):
             raise ColoringError(
                 "coloring failed: greedy needs a 5th color and the periodic "
                 "tiling is not proper on this graph"
@@ -384,3 +508,11 @@ def partition_blocks(bump_map: BumpMap, block_count: int) -> BumpMap:
         col_to_block.extend([k] * width)
     blocks = tuple(col_to_block) * bump_map.lattice.rows
     return replace(bump_map, blocks=blocks, block_count=block_count)
+
+
+def block_sizes(bump_map: BumpMap) -> list[int]:
+    """The number of bumps in each block, from one pass over ``blocks``."""
+    sizes = [0] * bump_map.block_count
+    for k in bump_map.blocks:
+        sizes[k] += 1
+    return sizes

@@ -40,6 +40,7 @@ from .bumpmap import (
     Lattice,
     LatticeKind,
     assign_codewords,
+    block_sizes,
     build_bump_map,
     partition_blocks,
     potential_short_graph,
@@ -453,8 +454,10 @@ def run_campaign(config: CampaignConfig) -> dict:
     diagnosed fault-locally: only the one or two nets it touches are
     resolved, and only their same-block neighborhoods reach ``diagnose``.
     The result equals running the full-map ``run_block_test`` and diagnosing
-    every block, at a cost independent of the map size.  The metrics are
-    counts over the finished fault results.
+    every block, at a per-fault cost independent of the map size.  The map
+    build is not: the positions, colors, blocks and block sizes each take a
+    pass over the bumps (the short graph and the greedy rows do not).  The
+    metrics are counts over the finished fault results.
     """
     bump_map, graph = build_campaign_map(config)
     if config.faults is not None:
@@ -510,7 +513,7 @@ def _map_section(bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     return {
         "bumps": bump_map.bump_count,
         "edges": graph.edge_count,
-        "block_sizes": [bump_map.blocks.count(k) for k in range(bump_map.block_count)],
+        "block_sizes": block_sizes(bump_map),
     }
 
 

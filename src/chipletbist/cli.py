@@ -121,7 +121,7 @@ def _cmd_gen_map(args) -> int:
         "colors": [c.value for c in bump_map.coloring],
         "blocks": bump_map.blocks,
         "block_count": bump_map.block_count,
-        "edges": graph.sorted_edges,
+        "edges": list(graph.sorted_edges),
     }
     _write_output(canonical_json(payload), args.out)
     return 0

@@ -16,6 +16,7 @@ from chipletbist.bumpmap import (
     Lattice,
     LatticeKind,
     MAX_BUMPS,
+    _greedy_coloring,
     assign_codewords,
     build_bump_map,
     coloring_violations,
@@ -167,7 +168,7 @@ def test_scan_built_graph_state_matches_all_pairs_scan(kind, pitch, factor):
         bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
         graph = potential_short_graph(bump_map, factor * pitch)
         brute = sorted(brute_force_edges(bump_map, factor * pitch))
-        assert graph.sorted_edges == tuple(brute), (rows, cols)
+        assert tuple(graph.sorted_edges) == tuple(brute), (rows, cols)
         expected = {bump: [] for bump in range(bump_map.bump_count)}
         for a, b in brute:
             expected[a].append(b)
@@ -247,7 +248,7 @@ def test_offset_classes_match_the_per_pair_window_scan():
         graph = potential_short_graph(bump_map, factor * pitch)
         edges, neighbors, split = window_scan(bump_map, factor * pitch)
         case = (kind.value, rows, cols, pitch, factor)
-        assert graph.sorted_edges == edges, case
+        assert tuple(graph.sorted_edges) == edges, case
         assert [graph.neighbors(b) for b in range(bump_map.bump_count)] == neighbors, case
         split_cases += split > 0
     # The per-pair branch must stay exercised: stored positions split a class.
@@ -451,3 +452,98 @@ def test_partition_rejects_out_of_range_block_count(block_count):
     bump_map = build_bump_map(rect_lattice(4, 4))
     with pytest.raises(ParameterError):
         partition_blocks(bump_map, block_count)
+
+
+# The lattice graph against the graph materialized from its brute-force
+# edges.  The nudged factors are those of
+# test_offset_classes_match_the_per_pair_window_scan: a few hundred ulps off
+# a borderline factor, where stored positions can split a class.
+SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
+DIFFERENTIAL_FACTORS = [0.5, 1.0, SQRT2, 1.5, SQRT3, 1.8, 1.9, 1.99, 2.0, 2.5, 3.0] + [
+    factor * nudge
+    for factor in (1.0, SQRT2, SQRT3, 2.0, 3.0)
+    for nudge in (1 + 64 * sys.float_info.epsilon, 1 - 256 * sys.float_info.epsilon)
+]
+
+
+def materialized(bump_map, radius):
+    return AdjacencyGraph(brute_force_edges(bump_map, radius), radius)
+
+
+def coloring_or_error(bump_map, graph):
+    try:
+        return assign_codewords(bump_map, graph).coloring
+    except ColoringError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("factor", DIFFERENTIAL_FACTORS)
+def test_lattice_graph_answers_as_the_materialized_graph(kind, factor):
+    pitch = 7.3
+    radius = factor * pitch
+    for rows, cols in [(1, 1), (1, 11), (11, 1), (3, 2), (2, 3), (10, 10)]:
+        bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
+        graph = potential_short_graph(bump_map, radius)
+        reference = materialized(bump_map, radius)
+        case = (rows, cols)
+        assert graph.edge_count == reference.edge_count, case
+        assert len(graph.sorted_edges) == reference.edge_count, case
+        assert list(graph.sorted_edges) == list(reference.sorted_edges), case
+        assert [graph.sorted_edges[k] for k in range(graph.edge_count)] == list(
+            reference.sorted_edges
+        ), case
+        if graph.edge_count:
+            assert graph.sorted_edges[-1] == reference.sorted_edges[-1], case
+        for index in (graph.edge_count, -graph.edge_count - 1):
+            with pytest.raises(IndexError):
+                graph.sorted_edges[index]
+        assert graph.edges == reference.edges, case
+        bumps = range(-1, bump_map.bump_count + 1)
+        for a in bumps:
+            assert graph.neighbors(a) == reference.neighbors(a), (case, a)
+            assert graph.degree(a) == reference.degree(a), (case, a)
+            for b in bumps:
+                assert graph.has_edge(a, b) == reference.has_edge(a, b), (case, a, b)
+        assert coloring_or_error(bump_map, graph) == coloring_or_error(bump_map, reference), case
+
+
+@pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("factor", DIFFERENTIAL_FACTORS)
+def test_lattice_coloring_is_the_greedy_coloring(kind, factor):
+    # Maps with enough rows for the greedy colors to settle into the row
+    # period, where the lattice graph stops coloring and tiles (on 40x1 hex
+    # at 1.8 to 1.99 they repeat every 3 rows instead, and greedy runs on).
+    for rows, cols in [(40, 1), (33, 17), (17, 33), (24, 24)]:
+        bump_map = build_bump_map(Lattice(kind, rows, cols, 7.3))
+        graph = potential_short_graph(bump_map, factor * 7.3)
+        reference = AdjacencyGraph(tuple(graph.sorted_edges))
+        calls = []
+        counted = graph.neighbors
+        graph.neighbors = lambda bump: calls.append(bump) or counted(bump)
+        greedy = _greedy_coloring(bump_map.bump_count, graph)
+        if graph.period is not None and greedy is not None and cols > 1:
+            # The tiling shortcut ran: not every bump was colored one by one.
+            assert len(calls) < bump_map.bump_count, (rows, cols)
+        assert greedy == _greedy_coloring(bump_map.bump_count, reference), (rows, cols)
+        assert coloring_or_error(bump_map, graph) == coloring_or_error(bump_map, reference)
+
+
+def test_default_factor_graphs_tile_their_colors():
+    for kind in LatticeKind:
+        bump_map = build_bump_map(Lattice(kind, 64, 64, PITCH))
+        graph = potential_short_graph(bump_map, DEFAULT_SHORT_RADIUS_FACTOR * PITCH)
+        assert graph.period is not None, kind
+        colored = assign_codewords(bump_map, graph)
+        assert colored.coloring == periodic_tiling_coloring(bump_map.lattice), kind
+
+
+def test_coloring_rejects_foreign_edges_of_a_larger_lattice_graph():
+    small = build_bump_map(rect_lattice(1, 2))
+    larger = build_bump_map(rect_lattice(1, 3))
+    with pytest.raises(ParameterError) as excinfo:
+        assign_codewords(small, potential_short_graph(larger, 1.5 * PITCH))
+    assert str(excinfo.value) == "edge (1, 2) references a bump outside the map"
+    # Bumps beyond the map without an edge are no foreign edge.
+    colored = assign_codewords(small, potential_short_graph(larger, 0.5 * PITCH))
+    assert colored.coloring == (Color.GREEN, Color.GREEN)

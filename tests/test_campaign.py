@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipletbist.bist import Bridge, BridgeBehavior, StuckAt
-from chipletbist.bumpmap import LatticeKind
+from chipletbist.bumpmap import AdjacencyGraph, LatticeKind
 from chipletbist.campaign import (
     _LONG_RUN,
     CampaignConfig,
@@ -25,7 +26,7 @@ from chipletbist.campaign import (
     run_campaign,
     sample_faults,
 )
-from chipletbist.errors import ParameterError
+from chipletbist.errors import ColoringError, ParameterError
 
 
 def base_config_dict(**overrides):
@@ -183,6 +184,39 @@ def test_sampler_rejects_more_bridges_than_edges():
     spec = SamplerSpec(n_faults=graph.edge_count + 1, seed=1, kind_mix={"bridge": 1.0})
     with pytest.raises(ParameterError):
         sample_faults(spec, bump_map, graph)
+
+
+@pytest.mark.parametrize("include_inter_block", [True, False])
+@pytest.mark.parametrize("rows,cols", [(16, 16), (33, 17)])
+@pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
+def test_sampling_from_the_lattice_graph_is_unchanged(kind, rows, cols, include_inter_block):
+    # random.sample reads the lattice graph's sorted_edges through len and
+    # indexing, or, for 250 bridges from fewer than 1045 edges (rect 16x16),
+    # through a copy of it; the same seed must draw the same faults as from
+    # the materialized edge tuple.  Without inter-block edges the sampler
+    # iterates every edge.
+    bump_map, graph = build_campaign_map(CampaignConfig(MapSpec(kind, rows, cols, 20.0), 4))
+    reference = AdjacencyGraph(tuple(graph.sorted_edges))
+    for seed in range(50):
+        for n_faults in (40, 500) if include_inter_block else (40,):
+            spec = SamplerSpec(n_faults, seed, include_inter_block=include_inter_block)
+            expected = sample_faults(spec, bump_map, reference)
+            assert sample_faults(spec, bump_map, graph) == expected, (seed, n_faults)
+
+
+def test_a_large_radius_factor_fails_before_building_the_pairs():
+    # At 10 pitches an interior hex bump has 366 partners: hex 64x64 holds
+    # 644,062 pairs, and building them all took about 84 MB (traced) before
+    # the coloring failed.  The first tiling clash ends the run instead.
+    config = CampaignConfig(MapSpec(LatticeKind.HEXAGONAL, 64, 64, 20.0, 10.0), 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ColoringError):
+            build_campaign_map(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 def run_explicit_campaign(faults):
