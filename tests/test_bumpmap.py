@@ -11,6 +11,7 @@ import pytest
 
 from chipletbist.bumpmap import (
     AdjacencyGraph,
+    COLOR_ORDER,
     Color,
     DEFAULT_SHORT_RADIUS_FACTOR,
     Lattice,
@@ -377,6 +378,22 @@ def test_periodic_tiling_proper_on_interior_12_neighborhoods():
     for r in range(2, 62):
         for c in range(2, 62):
             assert graph.degree(r * 64 + c) == 12
+
+
+def test_periodic_tiling_is_the_per_bump_formula():
+    # Bump (r, c) takes color class (r mod 2, (c + r//2) mod 2) on a
+    # hexagonal lattice and (r mod 2, c mod 2) on a rectangular one.
+    shapes = [(rows, cols) for rows in range(1, 10) for cols in range(1, 6)] + [(512, 512)]
+    for kind in LatticeKind:
+        shift = (lambda r: r // 2) if kind is LatticeKind.HEXAGONAL else (lambda r: 0)
+        for rows, cols in shapes:
+            expected = tuple(
+                COLOR_ORDER[(r % 2) * 2 + (c + shift(r)) % 2]
+                for r in range(rows)
+                for c in range(cols)
+            )
+            lattice = Lattice(kind, rows, cols, PITCH)
+            assert periodic_tiling_coloring(lattice) == expected, (kind, rows, cols)
 
 
 def test_coloring_falls_back_to_periodic_tiling():
