@@ -1,16 +1,15 @@
 """Bump lattice geometry, potential-short adjacency, codeword coloring, and blocks.
 
 The package I/O bumps sit on a rectangular or hexagonal (close-packed)
-lattice.  Bumps that are close enough to short against each other form the
-potential-short adjacency graph.  Because the lattice is regular, every
-partner of a bump within the short radius lies in a small forward window of
-row and column offsets, and whether a pair can short depends only on its
-window offset and, on a hexagonal lattice, the lower bump's row parity.  So
-each such offset class is decided once from the lattice geometry: all edges
-or none, unless its distance is within a rounding tolerance (scaled by the
-lattice extent) of the radius, where each pair is tested on its stored
-positions when asked.  The graph keeps only those classes and answers
-neighbours, degrees, edges and the edge count by arithmetic on (row,
+lattice.  Bumps whose lattice distance is at most the short radius can
+short against each other and form the potential-short adjacency graph.  On
+a regular lattice that distance depends only on a pair's row and column
+offsets and, on a hexagonal lattice, on the lower bump's row parity.  So
+each such offset class is decided once, exactly, in integers, from the pitch
+and the radius taken as the exact values of their doubles: a radius on a
+ring of the lattice holds the whole ring, and no pair is ever tested on its
+rounded stored positions.  The graph keeps only the accepted classes and
+answers neighbours, degrees, edges and the edge count by arithmetic on (row,
 column); no list over the map's edges or bumps is built.  A proper
 4-coloring of the graph decides which of the four test codewords each bump
 receives: greedy coloring runs row by row until its colors repeat with the
@@ -28,7 +27,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add
 
 from .errors import ColoringError, ParameterError
@@ -46,6 +45,11 @@ MAX_BUMPS = 512 * 512
 class LatticeKind(Enum):
     HEXAGONAL = "hexagonal"
     RECTANGULAR = "rectangular"
+
+
+# Rows in one period of the 4-color tiling, which the greedy coloring of a
+# lattice graph repeats too.
+_TILING_ROWS = {LatticeKind.HEXAGONAL: 4, LatticeKind.RECTANGULAR: 2}
 
 
 class Color(Enum):
@@ -144,33 +148,22 @@ class AdjacencyGraph:
         edges: Iterable[tuple[int, int]],
         short_radius_um: float | None = None,
     ) -> None:
-        higher: defaultdict[int, set[int]] = defaultdict(set)
+        pairs = set()
         for a, b in edges:
             if a == b:
                 raise ParameterError(f"self-loop edge on bump {a}")
             if a < 0 or b < 0:
                 raise ParameterError(f"negative bump id in edge ({a}, {b})")
-            if a < b:
-                higher[a].add(b)
-            else:
-                higher[b].add(a)
-        # One pass in bump order fills every neighbour tuple, since a bump
-        # meets all its lower neighbours first.
-        lower: defaultdict[int, list[int]] = defaultdict(list)
-        neighbors: dict[int, tuple[int, ...]] = {}
-        sorted_edges: list[tuple[int, int]] = []
-        for a in sorted(higher):
-            above = sorted(higher[a])
-            for b in above:
-                lower[b].append(a)
-                sorted_edges.append((a, b))
-            neighbors[a] = tuple(lower.pop(a, []) + above)
-        for b, below in lower.items():
-            neighbors[b] = tuple(below)
-        self._neighbors = neighbors
-        self.sorted_edges: Sequence[tuple[int, int]] = tuple(sorted_edges)
+            pairs.add((a, b) if a < b else (b, a))
+        # In ascending edge order every neighbour list comes out ascending.
+        self.sorted_edges: Sequence[tuple[int, int]] = tuple(sorted(pairs))
+        neighbors: defaultdict[int, list[int]] = defaultdict(list)
+        for a, b in self.sorted_edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        self._neighbors = {bump: tuple(partners) for bump, partners in neighbors.items()}
         self.short_radius_um = short_radius_um
-        self.id_bound = max(neighbors, default=-1) + 1
+        self.id_bound = max(self._neighbors, default=-1) + 1
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -194,46 +187,38 @@ class _LatticeGraph(AdjacencyGraph):
     """The potential-short graph of a lattice map, answered by arithmetic.
 
     It keeps the offset classes :func:`potential_short_graph` accepts, keyed
-    (dr, dc, row parity of the lower bump), each exact (every pair is an
-    edge) or borderline (each pair is tested on the stored positions when
-    asked).  Bump (r, c) meets (r + dr, c + dc) through every accepted class
-    that fits the map, so nothing is stored per bump or per edge.
+    (dr, dc, row parity of the lower bump); every pair of an accepted class
+    is an edge.  Bump (r, c) meets (r + dr, c + dc) through every accepted
+    class that fits the map, so nothing is stored per bump or per edge.
     """
 
-    def __init__(self, bump_map: BumpMap, short_radius_um: float, classes: dict) -> None:
-        lattice = bump_map.lattice
+    def __init__(
+        self, lattice: Lattice, short_radius_um: float, classes: list[tuple[int, int, int]]
+    ) -> None:
         rows, cols = self._rows, self._cols = lattice.rows, lattice.cols
-        self._positions = bump_map.positions
-        self._limit = short_radius_um * short_radius_um
         self.short_radius_um = short_radius_um
         self.id_bound = rows * cols
         # Per parity of a bump's row, the classes it opens as the lower bump
         # and, reversed, those its lower partners open, in (dr, dc) order,
-        # which is ascending id: (first, end) row and column it fits, id
-        # offset, exact.
+        # which is ascending id: (first, end) row and column it fits, and
+        # id offset.
         offsets: tuple[list, list] = ([], [])
-        for (dr, dc, parity), exact in classes.items():
-            offsets[parity].append((dr, dc, exact))
-            offsets[(parity + dr) % 2].append((-dr, -dc, exact))
+        for dr, dc, parity in classes:
+            offsets[parity].append((dr, dc))
+            offsets[(parity + dr) % 2].append((-dr, -dc))
         self._offsets = tuple(
             [
-                (max(0, -dr), rows - max(0, dr), max(0, -dc), cols - max(0, dc), dr * cols + dc, exact)
-                for dr, dc, exact in sorted(table)
+                (max(0, -dr), rows - max(0, dr), max(0, -dc), cols - max(0, dc), dr * cols + dc)
+                for dr, dc in sorted(table)
             ]
             for table in offsets
         )
         self._above = tuple([o for o in table if o[4] > 0] for table in self._offsets)
-        if all(classes.values()):
-            # Rows of one parity open the same classes; the color tiling's
-            # row period is 4 on a hexagonal lattice, 2 on a rectangular one.
-            depth = max((dr for dr, _, _ in classes), default=0)
-            row_period = 4 if lattice.kind is LatticeKind.HEXAGONAL else 2
-            self.period = (row_period * cols, (depth + 1) * cols)
+        # Rows of one parity open the same classes, so greedy colors that
+        # repeat over the tiling's row period repeat to the last row.
+        depth = max((dr for dr, _, _ in classes), default=0)
+        self.period = (_TILING_ROWS[lattice.kind] * cols, (depth + 1) * cols)
         self.sorted_edges = _LatticeEdges(self)
-
-    def _close(self, a: int, b: int) -> bool:
-        (xa, ya), (xb, yb) = self._positions[a], self._positions[b]
-        return (xb - xa) * (xb - xa) + (yb - ya) * (yb - ya) <= self._limit
 
     def _partners(self, bump: int, tables: tuple[list, list]) -> tuple[int, ...]:
         """The bump's partners, ascending, through the offsets of its row's parity."""
@@ -242,8 +227,8 @@ class _LatticeGraph(AdjacencyGraph):
             return ()
         return tuple(
             bump + delta
-            for r_lo, r_end, c_lo, c_end, delta, exact in tables[r % 2]
-            if r_lo <= r < r_end and c_lo <= c < c_end and (exact or self._close(bump, bump + delta))
+            for r_lo, r_end, c_lo, c_end, delta in tables[r % 2]
+            if r_lo <= r < r_end and c_lo <= c < c_end
         )
 
     def neighbors(self, bump: int) -> tuple[int, ...]:
@@ -253,44 +238,36 @@ class _LatticeGraph(AdjacencyGraph):
 class _LatticeEdges(Sequence):
     """A lattice graph's ``sorted_edges``: read-only, computed on request.
 
-    With exact classes only, a row's edges depend only on its parity and on
-    how many rows below it a class can reach.  So the edges of one row of
-    each such kind are found once, as id offsets from the row's first bump,
-    and every row of that kind is those offsets moved to its own start.  A
-    graph with a borderline class walks each row bump by bump instead.  The
-    length and the k-th edge come from per-row edge counts, so
+    A row's edges depend only on its parity and on how many rows below it a
+    class can reach.  So the edges of a row of each such kind are found when
+    a row of that kind is first asked for, as id offsets from the row's
+    first bump, and every row of that kind is those offsets moved to its own
+    start.  The length and the k-th edge come from per-row edge counts, so
     ``random.sample`` draws exactly as from the materialized tuple.
     """
 
     def __init__(self, graph: _LatticeGraph) -> None:
         self._graph = graph
+        self._patterns: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
-    def _kind(self, r: int) -> tuple[int, int]:
+    def _pattern(self, r: int) -> tuple[list[int], list[int]]:
+        """Row r's edges as (lower, upper) offsets from the row's first bump."""
         graph = self._graph
-        return r % 2, min(graph._rows - r, graph.period[1] // graph._cols)
-
-    @cached_property
-    def _patterns(self) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
-        """Each row kind's edges as (lower, upper) offsets from the row's first bump."""
-        graph = self._graph
-        rows, cols = graph._rows, graph._cols
-        patterns: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        # The first two rows and the last rows a class reaches past cover every kind.
-        for r in {*range(min(2, rows)), *range(max(0, rows - graph.period[1] // cols), rows)}:
-            kind, start = self._kind(r), r * cols
-            if kind not in patterns:
-                row = list(self._walk(range(start, start + cols)))
-                patterns[kind] = [a - start for a, _ in row], [b - start for _, b in row]
-        return patterns
+        kind = r % 2, min(graph._rows - r, graph.period[1] // graph._cols)
+        if kind not in self._patterns:
+            start, lower, upper = r * graph._cols, [], []
+            for a in range(graph._cols):
+                partners = graph._partners(start + a, graph._above)
+                lower += [a] * len(partners)
+                upper += [b - start for b in partners]
+            self._patterns[kind] = lower, upper
+        return self._patterns[kind]
 
     @cached_property
     def _row_starts(self) -> list[int]:
         """The number of edges above each row, and in all (last)."""
-        starts = [0]
-        for r in range(self._graph._rows):
-            row = self._patterns[self._kind(r)][0] if self._graph.period else list(self._row(r))
-            starts.append(starts[-1] + len(row))
-        return starts
+        rows = range(self._graph._rows)
+        return list(accumulate((len(self._pattern(r)[0]) for r in rows), initial=0))
 
     def __len__(self) -> int:
         return self._row_starts[-1]
@@ -309,20 +286,8 @@ class _LatticeEdges(Sequence):
 
     def _row(self, r: int) -> Iterator[tuple[int, int]]:
         start = r * self._graph._cols
-        if self._graph.period is None:
-            return self._walk(range(start, start + self._graph._cols))
-        lower, upper = self._patterns[self._kind(r)]
+        lower, upper = self._pattern(r)
         return zip(map(add, repeat(start), lower), map(add, repeat(start), upper))
-
-    def _walk(self, bumps: range) -> Iterator[tuple[int, int]]:
-        above = self._graph._above
-        return ((a, b) for a in bumps for b in self._graph._partners(a, above))
-
-
-def _row_step(lattice: Lattice) -> float:
-    if lattice.kind is LatticeKind.HEXAGONAL:
-        return lattice.pitch_um * math.sqrt(3.0) / 2.0
-    return lattice.pitch_um
 
 
 def build_bump_map(lattice: Lattice) -> BumpMap:
@@ -332,9 +297,10 @@ def build_bump_map(lattice: Lattice) -> BumpMap:
     pitch*sqrt(3)/2 (close packing); rectangular lattices are a plain grid.
     """
     pitch = lattice.pitch_um
-    row_step = _row_step(lattice)
+    hexagonal = lattice.kind is LatticeKind.HEXAGONAL
+    row_step = pitch * math.sqrt(3.0) / 2.0 if hexagonal else pitch
     xs = [c * pitch for c in range(lattice.cols)]
-    odd_xs = [x + pitch / 2.0 for x in xs] if lattice.kind is LatticeKind.HEXAGONAL else xs
+    odd_xs = [x + pitch / 2.0 for x in xs] if hexagonal else xs
     positions: list[tuple[float, float]] = []
     for r in range(lattice.rows):
         y = r * row_step
@@ -343,34 +309,28 @@ def build_bump_map(lattice: Lattice) -> BumpMap:
 
 
 def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> AdjacencyGraph:
-    """Edges between every bump pair with Euclidean distance <= short_radius_um.
+    """Edges between every bump pair whose lattice distance is <= short_radius_um.
 
-    The map must hold the positions :func:`build_bump_map` gives its lattice.
-    Bumps on rows more than radius/row_step + 1 apart, or on columns more
-    than radius/pitch + 1 apart, are always farther apart than the radius
-    (the hexagonal row offset shifts columns by only half a pitch).  So each
-    bump is paired only with the bumps in its forward window: row offsets
-    0..floor(radius/row_step)+1 and column offsets within
-    +-(floor(radius/pitch)+1), clipped to the map, with positive column
-    offsets only on its own row.  A pair is an edge when
-    dx*dx + dy*dy <= radius*radius, with dx and dy taken from the stored
-    positions.  The radius must be positive with a normal, finite square.
+    The distance is the lattice's own: the pitch and the radius are taken
+    as the exact values of their doubles, and the hexagonal row step as
+    exactly pitch*sqrt(3)/2, not as the rounded stored positions.  In units
+    of pitch**2/4, the squared distance of row offset dr and column offset
+    dc is 4*(dc**2 + dr**2) on a rectangular lattice and
+    (2*dc + s)**2 + 3*dr**2 on a hexagonal one, where s is 0 for an even dr
+    and +1 or -1 for an odd dr from an even or an odd row.  So each offset
+    class (dr, dc, lower row parity) is decided once, in integers: with
+    pitch = pn/pd and radius = rn/rd, it is all edges when
+    quarters*(pn*rd)**2 <= 4*(rn*pd)**2 and none otherwise.  A radius on a
+    ring of the lattice (a factor of 1, 2 or 3, say) holds the whole ring.
+    math.sqrt(3.0) lies just below sqrt(3), so that factor leaves the
+    sqrt(3) ring out whole, unless its product with the pitch rounds up
+    past sqrt(3)*pitch (it does at pitch 3, not at 20 or 7.3).
 
-    On a regular lattice that distance depends only on the window offset
-    (dr, dc) and, on a hexagonal lattice, on the lower bump's row parity.
-    So each such offset class is decided once, from the lattice geometry:
-    dx = dc*pitch (plus or minus pitch/2 for an odd hexagonal dr) and
-    dy = dr*row_step.  Stored positions round differently, but every pair's
-    squared distance stays within tol = 64*eps*reach**2 of its class's
-    (rounding moves it by at most about tol/4), where
-    reach = max(rows, cols)*pitch + radius bounds every coordinate and
-    window difference.  A class more than tol beyond radius**2 holds no
-    edge, and one more than tol inside it is all edges, with no float work
-    per pair.  Only a class within tol of radius**2 (at a borderline factor
-    such as 1, sqrt(2) or 2, where rounding can split it) tests each pair on
-    its stored positions, when a query reaches it.  The returned graph holds
-    the decided classes, not the pairs, so building it costs the number of
-    classes, not of edges.
+    The map must hold the positions :func:`build_bump_map` gives its
+    lattice.  The radius must be positive with a normal, finite square.
+    The returned graph holds the accepted classes, not the pairs, so
+    building it costs the number of classes within the radius, not of
+    edges.
     """
     limit = short_radius_um * short_radius_um
     if not short_radius_um > 0 or not sys.float_info.min <= limit <= sys.float_info.max:
@@ -384,28 +344,26 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
             f"bump map holds {bump_map.bump_count} positions for a "
             f"{lattice.rows}x{lattice.cols} lattice"
         )
-    rows, cols, pitch = lattice.rows, lattice.cols, lattice.pitch_um
-    row_step = _row_step(lattice)
-    dr_max = int(min(rows - 1, short_radius_um // row_step + 1))
-    dc_max = int(min(cols - 1, short_radius_um // pitch + 1))
+    (pn, pd), (rn, rd) = lattice.pitch_um.as_integer_ratio(), short_radius_um.as_integer_ratio()
+    # The largest squared distance within the radius, in units of pitch**2/4.
+    quarters_max = 4 * (rn * pd) ** 2 // (pn * rd) ** 2
+    # Every class within it has 3*dr**2 <= quarters_max and 2*|dc| - 1 <= isqrt(quarters_max).
+    dr_max = min(lattice.rows - 1, math.isqrt(quarters_max // 3))
+    dc_max = min(lattice.cols - 1, (math.isqrt(quarters_max) + 1) // 2)
     hexagonal = lattice.kind is LatticeKind.HEXAGONAL
-    reach = max(rows, cols) * pitch + short_radius_um
-    # Written as 32*eps*(2*reach**2): 2*reach**2 bounds every class's squared
-    # distance, so if it overflows tol is inf and every pair is tested.
-    tol = 32 * sys.float_info.epsilon * (2 * reach * reach)
-    classes: dict[tuple[int, int, int], bool] = {}
+    classes = []
     for dr in range(dr_max + 1):
-        class_dy = dr * row_step
         for dc in range(-dc_max if dr else 1, dc_max + 1):
             for parity in (0, 1):
-                # An odd hexagonal dr puts the partner half a pitch right of
-                # an even row's bump and half a pitch left of an odd row's.
-                shift = (0.5 - parity) * pitch if hexagonal and dr % 2 else 0.0
-                class_dx = dc * pitch + shift
-                gap = class_dx * class_dx + class_dy * class_dy - limit
-                if gap <= tol:
-                    classes[dr, dc, parity] = gap < -tol
-    return _LatticeGraph(bump_map, short_radius_um, classes)
+                if hexagonal:
+                    # An odd dr puts the partner half a pitch right of an
+                    # even row's bump and half a pitch left of an odd row's.
+                    quarters = (2 * dc + (1 - 2 * parity) * (dr % 2)) ** 2 + 3 * dr * dr
+                else:
+                    quarters = 4 * (dc * dc + dr * dr)
+                if quarters <= quarters_max:
+                    classes.append((dr, dc, parity))
+    return _LatticeGraph(lattice, short_radius_um, classes)
 
 
 def periodic_tiling_coloring(lattice: Lattice) -> tuple[Color, ...]:
@@ -417,15 +375,19 @@ def periodic_tiling_coloring(lattice: Lattice) -> tuple[Color, ...]:
     The rectangular class is plain (r mod 2, c mod 2), proper for any short
     radius below 2*pitch.
     """
-    colors = []
-    for r in range(lattice.rows):
-        for c in range(lattice.cols):
-            if lattice.kind is LatticeKind.HEXAGONAL:
-                idx = (r % 2) * 2 + (c + r // 2) % 2
-            else:
-                idx = (r % 2) * 2 + c % 2
-            colors.append(COLOR_ORDER[idx])
-    return tuple(colors)
+    hexagonal = lattice.kind is LatticeKind.HEXAGONAL
+    period = [
+        COLOR_ORDER[(r % 2) * 2 + (c + (r // 2 if hexagonal else 0)) % 2]
+        for r in range(min(lattice.rows, _TILING_ROWS[lattice.kind]))
+        for c in range(lattice.cols)
+    ]
+    return _tiled([], period, lattice.bump_count)
+
+
+def _tiled(head: list[Color], tile: list[Color], count: int) -> tuple[Color, ...]:
+    """The head colors, then the tile repeated, cut to count colors in all."""
+    whole, part = divmod(count - len(head), len(tile))
+    return tuple(head + tile * whole + tile[:part])
 
 
 def _greedy_coloring(bump_count: int, graph: AdjacencyGraph) -> tuple[Color, ...] | None:
@@ -442,9 +404,7 @@ def _greedy_coloring(bump_count: int, graph: AdjacencyGraph) -> tuple[Color, ...
     for b in range(bump_count):
         if shift and b % shift == 0 and b >= shift + window:
             if assigned[b - window :] == assigned[b - window - shift : b - shift]:
-                whole, part = divmod(bump_count - b, shift)
-                tile = assigned[b - shift :]
-                return tuple(assigned + tile * whole + tile[:part])
+                return _tiled(assigned, assigned[b - shift :], bump_count)
         used = {assigned[n] for n in graph.neighbors(b) if n < b}
         for color in COLOR_ORDER:
             if color not in used:
@@ -478,7 +438,7 @@ def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:
     coloring = _greedy_coloring(bump_count, graph)
     if coloring is None:
         tiling = periodic_tiling_coloring(bump_map.lattice)
-        if any(tiling[a] is tiling[b] for a, b in graph.sorted_edges):
+        if any(tiling[a] is tiling[b] for a in range(bump_count) for b in graph.neighbors(a)):
             raise ColoringError(
                 "coloring failed: greedy needs a 5th color and the periodic "
                 "tiling is not proper on this graph"

@@ -6,9 +6,11 @@ import math
 import random
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from chipletbist.bist import NOMINAL_RESPONSE, Bridge, BridgeBehavior, run_block_test
 from chipletbist.bumpmap import (
     AdjacencyGraph,
     COLOR_ORDER,
@@ -108,12 +110,15 @@ def test_short_graph_rejects_positions_not_matching_lattice():
 
 
 # Edge count and SHA-256 of repr(sorted(edges)) at pitch 20, as the k-d tree
-# (scipy cKDTree.query_pairs) gave them before the lattice-window scan.
+# (scipy cKDTree.query_pairs) gave them before the lattice-window scan.  The
+# hexagonal 1.0 and 2.0 radii lie on a ring, which the k-d tree split on the
+# stored positions; their pins hold the whole ring, as the exact lattice
+# distance decides (1.0 holds the first ring only, as 1.5 does).
 EDGE_FINGERPRINTS = [
-    ("hexagonal", 64, 1.0, 8985, "267e97d7db48a3c1b3a62d8898683c21d6c750c2cf2c6e413400eacf2aa9562a"),
+    ("hexagonal", 64, 1.0, 12033, "288dbce75b8d044c4a20f8e7fc9faeaed2b286dcbb380353b40230580af71bad"),
     ("hexagonal", 64, 1.5, 12033, "288dbce75b8d044c4a20f8e7fc9faeaed2b286dcbb380353b40230580af71bad"),
     ("hexagonal", 64, 1.9, 23876, "8f350864dab7337e3b53bc9e91ae93ab7aeeff443771f662cbc3a194d1987dc3"),
-    ("hexagonal", 64, 2.0, 32128, "bf5534d7f9377888356ee66759fd363a16b67a4d4690f1b909e8f56423c71470"),
+    ("hexagonal", 64, 2.0, 35656, "844cb4b1f19edb37750a6de172370308affed6bbf3305595f41c9f29155dee17"),
     ("rectangular", 64, 1.0, 8064, "4093194e86260f0137cd413d98eb3d1146bdf425a21d0142df274c483bf2505c"),
     ("rectangular", 64, 1.5, 16002, "c1baae32af6db2aa0981a496edf74fb6bc43587d29cd4e73205e9cf03f546a6c"),
     ("rectangular", 64, 1.9, 16002, "c1baae32af6db2aa0981a496edf74fb6bc43587d29cd4e73205e9cf03f546a6c"),
@@ -143,6 +148,53 @@ def brute_force_edges(bump_map, radius):
     return edges
 
 
+def half_pitch_points(lattice):
+    """Each bump's (x, row) with x in half pitches: 2*col, plus 1 on an odd hexagonal row."""
+    odd_shift = 1 if lattice.kind is LatticeKind.HEXAGONAL else 0
+    return [(2 * c + odd_shift * (r % 2), r) for r in range(lattice.rows) for c in range(lattice.cols)]
+
+
+def quarters_within(lattice, radius):
+    """The largest 4*d**2/pitch**2 within the radius, pitch and radius taken exactly."""
+    return math.floor(4 * Fraction(radius) ** 2 / Fraction(lattice.pitch_um) ** 2)
+
+
+def lattice_edges(lattice, radius, pairs=None):
+    """The pairs (a < b; all of them by default) whose exact lattice distance is at most the radius.
+
+    Each pair is tested from its (row, col): in quarter-pitch**2 units the
+    squared distance is dx**2 + 3*dr**2 on a hexagonal lattice (rows
+    pitch*sqrt(3)/2 apart) and dx**2 + 4*dr**2 on a rectangular one, dx in
+    half pitches.
+    """
+    points = half_pitch_points(lattice)
+    row_weight = 3 if lattice.kind is LatticeKind.HEXAGONAL else 4
+    limit = quarters_within(lattice, radius)
+    if pairs is None:
+        pairs = itertools.combinations(range(len(points)), 2)
+    return {
+        (a, b)
+        for a, b in pairs
+        if (points[b][0] - points[a][0]) ** 2 + row_weight * (points[b][1] - points[a][1]) ** 2
+        <= limit
+    }
+
+
+# Factors whose radius is not within rounding of any lattice ring at the
+# pitches tested: there the stored positions decide every pair as the
+# exact lattice distance does.
+OFF_RING_FACTORS = (0.5, 1.5, 1.8, 1.9, 1.99, 2.5)
+
+
+def reference_edges(bump_map, factor):
+    """The exact lattice edges at factor * pitch, checked off the rings against the stored positions."""
+    radius = factor * bump_map.lattice.pitch_um
+    edges = lattice_edges(bump_map.lattice, radius)
+    if factor in OFF_RING_FACTORS:
+        assert edges == brute_force_edges(bump_map, radius)
+    return edges
+
+
 @pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("pitch", [20.0, 1 / 3, 7.3])
 @pytest.mark.parametrize(
@@ -152,7 +204,7 @@ def test_short_graph_matches_all_pairs_scan(kind, pitch, factor):
     for rows, cols in [(1, 1), (1, 9), (9, 1), (6, 7), (20, 20)]:
         bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
         graph = potential_short_graph(bump_map, factor * pitch)
-        assert graph.edges == brute_force_edges(bump_map, factor * pitch), (rows, cols)
+        assert graph.edges == reference_edges(bump_map, factor), (rows, cols)
 
 
 @pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
@@ -168,7 +220,7 @@ def test_scan_built_graph_state_matches_all_pairs_scan(kind, pitch, factor):
     for rows, cols in [(1, 1), (1, 9), (9, 1), (3, 2), (2, 3), (6, 7), (20, 20)]:
         bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
         graph = potential_short_graph(bump_map, factor * pitch)
-        brute = sorted(brute_force_edges(bump_map, factor * pitch))
+        brute = sorted(reference_edges(bump_map, factor))
         assert tuple(graph.sorted_edges) == tuple(brute), (rows, cols)
         expected = {bump: [] for bump in range(bump_map.bump_count)}
         for a, b in brute:
@@ -180,11 +232,12 @@ def test_scan_built_graph_state_matches_all_pairs_scan(kind, pitch, factor):
 
 
 def window_scan(bump_map, radius):
-    """Per-pair reference: test every forward-window pair on its stored positions.
+    """Per-pair reference over each bump's forward lattice window.
 
-    Returns the ascending edges, each bump's ascending neighbours, and the
-    number of offset classes (dr, dc, lower row parity) whose pairs do not
-    all agree, which only a per-pair test can decide.
+    Returns the ascending edges and each bump's ascending neighbours by
+    exact lattice distance, tested pair by pair, and the pairs of every
+    offset class (dr, dc, lower row parity) that the stored positions split:
+    some of its pairs lie within the radius on them and some do not.
     """
     lattice = bump_map.lattice
     rows, cols, pitch = lattice.rows, lattice.cols, lattice.pitch_um
@@ -194,23 +247,28 @@ def window_scan(bump_map, radius):
     limit = radius * radius
     xs = [x for x, _ in bump_map.positions]
     ys = [y for _, y in bump_map.positions]
+    points = half_pitch_points(lattice)
+    row_weight = 3 if lattice.kind is LatticeKind.HEXAGONAL else 4
+    quarters_max = quarters_within(lattice, radius)
     higher = [[] for _ in range(rows * cols)]
-    split = 0
+    splits = []
     for dr in range(dr_max + 1):
         for dc in range(-dc_max if dr else 1, dc_max + 1):
             offset = dr * cols + dc
             c_lo, c_hi = max(0, -dc), min(cols, cols - dc)
             for parity in (0, 1):
-                pairs = hits = 0
+                pairs, hits = [], 0
                 for row_start in range(parity * cols, (rows - dr) * cols, 2 * cols):
                     for a in range(row_start + c_lo, row_start + c_hi):
-                        dx = xs[a + offset] - xs[a]
-                        dy = ys[a + offset] - ys[a]
-                        if dx * dx + dy * dy <= limit:
-                            higher[a].append(a + offset)
-                            hits += 1
-                    pairs += c_hi - c_lo
-                split += 0 < hits < pairs
+                        b = a + offset
+                        dx, dy = xs[b] - xs[a], ys[b] - ys[a]
+                        hits += dx * dx + dy * dy <= limit
+                        pairs.append((a, b))
+                        (xa, ra), (xb, rb) = points[a], points[b]
+                        if (xb - xa) ** 2 + row_weight * (rb - ra) ** 2 <= quarters_max:
+                            higher[a].append(b)
+                if 0 < hits < len(pairs):
+                    splits.append(pairs)
     neighbors = [[] for _ in range(rows * cols)]
     edges = []
     for a, above in enumerate(higher):
@@ -218,15 +276,14 @@ def window_scan(bump_map, radius):
             edges.append((a, b))
             neighbors[a].append(b)
             neighbors[b].append(a)
-    return tuple(edges), [tuple(sorted(n)) for n in neighbors], split
+    return tuple(edges), [tuple(sorted(n)) for n in neighbors], splits
 
 
 def test_offset_classes_match_the_per_pair_window_scan():
     factors = [1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0, 3.0]
     # Rounding of stored positions grows with the extent.  A factor a few
-    # hundred ulps off a borderline one puts the class's own squared distance
-    # just off radius**2 while its pairs still split: a tolerance scaled by
-    # the radius instead of the extent decides such a class wrongly.
+    # hundred ulps off a ring's puts the ring just inside or just outside
+    # the radius while the stored positions of its pairs still split.
     nudges = [1 + 64 * sys.float_info.epsilon, 1 - 256 * sys.float_info.epsilon]
     thin = [(1, 4096), (4096, 1)]
     cases = [
@@ -243,17 +300,46 @@ def test_offset_classes_match_the_per_pair_window_scan():
         for factor in factors
     ]
     cases.append((LatticeKind.HEXAGONAL, (256, 256), 7.3, nudges[0]))
-    split_cases = 0
+    held_whole = held_none = 0
     for kind, (rows, cols), pitch, factor in cases:
         bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
         graph = potential_short_graph(bump_map, factor * pitch)
-        edges, neighbors, split = window_scan(bump_map, factor * pitch)
+        edges, neighbors, splits = window_scan(bump_map, factor * pitch)
         case = (kind.value, rows, cols, pitch, factor)
         assert tuple(graph.sorted_edges) == edges, case
         assert [graph.neighbors(b) for b in range(bump_map.bump_count)] == neighbors, case
-        split_cases += split > 0
-    # The per-pair branch must stay exercised: stored positions split a class.
-    assert split_cases > 0
+        # Wherever the stored positions split a class, the graph holds the
+        # whole class or none of it.
+        for pairs in splits:
+            held = sum(graph.has_edge(a, b) for a, b in pairs)
+            assert held in (0, len(pairs)), (case, pairs[0], held, len(pairs))
+            held_whole += held == len(pairs)
+            held_none += held == 0
+    # Both happen: a ring just inside the radius (1.0 at pitch 7.3) and one
+    # just outside it (3.0 at pitch 7.3, where 3.0 * 7.3 rounds down).
+    assert held_whole > 0 and held_none > 0
+
+
+@pytest.mark.parametrize(
+    "kind,side,pitch", [(LatticeKind.RECTANGULAR, 16, 7.3), (LatticeKind.HEXAGONAL, 64, PITCH)]
+)
+def test_touching_bumps_never_share_a_color(kind, side, pitch):
+    # At a factor of 1.0 the radius lies on the nearest-neighbour ring, where
+    # the rounded stored positions put some pairs just outside the radius.
+    # Every pair within one pitch is at most one row and one column apart.
+    lattice = Lattice(kind, side, side, pitch)
+    bump_map = build_bump_map(lattice)
+    bump_map = partition_blocks(assign_codewords(bump_map, potential_short_graph(bump_map, pitch)), 1)
+    forward = ((a, a + d) for a in range(lattice.bump_count) for d in (1, side - 1, side, side + 1))
+    touching = lattice_edges(lattice, pitch, ((a, b) for a, b in forward if b < lattice.bump_count))
+    assert len(touching) == (side - 1) * (3 * side - 1 if kind is LatticeKind.HEXAGONAL else 2 * side)
+    coloring = bump_map.coloring
+    assert sorted((a, b) for a, b in touching if coloring[a] is coloring[b]) == []
+    if kind is LatticeKind.RECTANGULAR:
+        for behavior in BridgeBehavior:
+            reports = run_block_test(bump_map, [Bridge(4, 5, behavior)])
+            failing = [b for report in reports for b, r in report.responses.items() if r != NOMINAL_RESPONSE]
+            assert failing, behavior
 
 
 def test_radius_below_pitch_gives_empty_graph():
@@ -471,10 +557,10 @@ def test_partition_rejects_out_of_range_block_count(block_count):
         partition_blocks(bump_map, block_count)
 
 
-# The lattice graph against the graph materialized from its brute-force
+# The lattice graph against the graph materialized from the exact lattice
 # edges.  The nudged factors are those of
 # test_offset_classes_match_the_per_pair_window_scan: a few hundred ulps off
-# a borderline factor, where stored positions can split a class.
+# a ring's factor, where stored positions can split a class.
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 DIFFERENTIAL_FACTORS = [0.5, 1.0, SQRT2, 1.5, SQRT3, 1.8, 1.9, 1.99, 2.0, 2.5, 3.0] + [
     factor * nudge
@@ -483,8 +569,8 @@ DIFFERENTIAL_FACTORS = [0.5, 1.0, SQRT2, 1.5, SQRT3, 1.8, 1.9, 1.99, 2.0, 2.5, 3
 ]
 
 
-def materialized(bump_map, radius):
-    return AdjacencyGraph(brute_force_edges(bump_map, radius), radius)
+def materialized(bump_map, factor):
+    return AdjacencyGraph(reference_edges(bump_map, factor), factor * bump_map.lattice.pitch_um)
 
 
 def coloring_or_error(bump_map, graph):
@@ -502,7 +588,7 @@ def test_lattice_graph_answers_as_the_materialized_graph(kind, factor):
     for rows, cols in [(1, 1), (1, 11), (11, 1), (3, 2), (2, 3), (10, 10)]:
         bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
         graph = potential_short_graph(bump_map, radius)
-        reference = materialized(bump_map, radius)
+        reference = materialized(bump_map, factor)
         case = (rows, cols)
         assert graph.edge_count == reference.edge_count, case
         assert len(graph.sorted_edges) == reference.edge_count, case
