@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add
 
 from .errors import ColoringError, ParameterError
@@ -242,8 +242,11 @@ class _LatticeEdges(Sequence):
     class can reach.  So the edges of a row of each such kind are found when
     a row of that kind is first asked for, as id offsets from the row's
     first bump, and every row of that kind is those offsets moved to its own
-    start.  The length and the k-th edge come from per-row edge counts, so
-    ``random.sample`` draws exactly as from the materialized tuple.
+    start.  :meth:`row_patterns` yields each row as its first id and that
+    pattern: iteration shifts it into edges, and gen-map writes it without
+    an edge tuple.  The length and the k-th edge come from per-row edge
+    counts, so ``random.sample`` draws exactly as from the materialized
+    tuple.
     """
 
     def __init__(self, graph: _LatticeGraph) -> None:
@@ -263,6 +266,12 @@ class _LatticeEdges(Sequence):
             self._patterns[kind] = lower, upper
         return self._patterns[kind]
 
+    def row_patterns(self) -> Iterator[tuple[int, list[int], list[int]]]:
+        """Each row's first id and its edges' (lower, upper) offsets from it,
+        every one below the ``period`` window, (depth + 1) * cols."""
+        cols = self._graph._cols
+        return ((r * cols, *self._pattern(r)) for r in range(self._graph._rows))
+
     @cached_property
     def _row_starts(self) -> list[int]:
         """The number of edges above each row, and in all (last)."""
@@ -279,15 +288,16 @@ class _LatticeEdges(Sequence):
         if not 0 <= index < starts[-1]:
             raise IndexError("edge index out of range")
         r = bisect_right(starts, index) - 1
-        return next(islice(self._row(r), index - starts[r], None))
+        row = _shifted(r * self._graph._cols, *self._pattern(r))
+        return next(islice(row, index - starts[r], None))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return chain.from_iterable(map(self._row, range(self._graph._rows)))
+        return chain.from_iterable(starmap(_shifted, self.row_patterns()))
 
-    def _row(self, r: int) -> Iterator[tuple[int, int]]:
-        start = r * self._graph._cols
-        lower, upper = self._pattern(r)
-        return zip(map(add, repeat(start), lower), map(add, repeat(start), upper))
+
+def _shifted(start: int, lower: list[int], upper: list[int]) -> Iterator[tuple[int, int]]:
+    """A row's edges from its first id and its (lower, upper) offsets."""
+    return zip(map(add, repeat(start), lower), map(add, repeat(start), upper))
 
 
 def build_bump_map(lattice: Lattice) -> BumpMap:

@@ -16,7 +16,6 @@ import random
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Any
 
 from .bist import (
@@ -529,6 +528,18 @@ _SCALAR_TEXT = {
 }
 _SCALAR_TYPES = frozenset(_SCALAR_TEXT)
 
+
+class _TextRows:
+    """A list of equal-length scalar lists, given as its columns of JSON texts:
+    ``columns[i][k]`` is item i of row k.  Only ``canonical_json`` reads it."""
+
+    def __init__(self, *columns: list[str]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
 # A flat list of at least this many items is encoded by one call to ``json``'s
 # C encoder; a shorter one is written scalar by scalar, which costs less than
 # building an encoder.
@@ -539,14 +550,16 @@ def canonical_json(obj: Any) -> str:
     """Canonical serialization: sorted keys, 2-space indent, trailing newline.
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"``.  ``json`` writes indented text with its
+    ensure_ascii=False) + "\\n"``, with a ``_TextRows`` written as the list
+    of scalar lists it stands for.  ``json`` writes indented text with its
     pure-Python encoder, so this writer walks the containers itself and
     appends each piece of text to one list, joined once at the end.  Dicts
     are written key by key and scalars in short lists by their exact type: a
     finite float as ``float.__repr__``, as ``json`` writes it, and ``NaN`` or
     ``Infinity`` by ``json`` itself.  A list of at least ``_LONG_RUN``
-    scalars, or of that many non-empty scalar lists, goes to ``json``
-    unindented in one call, which ``json`` encodes in C.
+    scalars goes to ``json`` unindented in one call, which ``json`` encodes
+    in C.  A ``_TextRows`` is laid out from its columns of texts with one
+    slice assignment per column and one join; nothing in it is encoded.
     """
     chunks: list[str] = []
     _write(obj, "\n", "", chunks.append)
@@ -557,7 +570,7 @@ def canonical_json(obj: Any) -> str:
 def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> None:
     """Emit ``head`` and then ``value`` as indented JSON, for a level whose
     lines start with ``newline``."""
-    if not isinstance(value, (dict, list, tuple)):
+    if not isinstance(value, (dict, list, tuple, _TextRows)):
         emit(head + _scalar(value))
         return
     if not value:
@@ -577,29 +590,24 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
             opener = separator
         emit(newline + "}")
         return
-    if len(value) >= _LONG_RUN:
-        if _SCALAR_TYPES.issuperset(map(type, value)):
-            run = _flat(value, separator)
-            emit(head + run[0] + inner)
-            emit(run[1:-1])
-            emit(newline + run[-1])
-            return
-        if (
-            {list, tuple}.issuperset(map(type, value))
-            and all(value)
-            and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(value)))
-        ):
-            # One call with NUL between items.  Encoded strings escape every
-            # control character and no scalar ends in "]", so a raw NUL only
-            # ever separates items, and "]<NUL>[" only ever joins two inner
-            # lists: there the outer level's line breaks go in, and at every
-            # other NUL the inner lists' own.
-            deeper = inner + "  "
-            body = _flat(value, "\0")[2:-2].replace("]\0[", f"{inner}],{inner}[{deeper}")
-            emit(f"{head}[{inner}[{deeper}")
-            emit(body.replace("\0", "," + deeper))
-            emit(f"{inner}]{newline}]")
-            return
+    if type(value) is _TextRows:
+        # Each row is its opener, then its columns' texts with a separator between.
+        deeper, columns, count = inner + "  ", value.columns, len(value)
+        width = 2 * len(columns)
+        pieces = ["," + deeper] * (width * count)
+        pieces[::width] = [f"{inner}],{inner}[{deeper}"] * count
+        pieces[0] = f"{head}[{inner}[{deeper}"
+        for i, column in enumerate(columns):
+            pieces[2 * i + 1 :: width] = column
+        pieces.append(f"{inner}]{newline}]")
+        emit("".join(pieces))
+        return
+    if len(value) >= _LONG_RUN and _SCALAR_TYPES.issuperset(map(type, value)):
+        run = _flat(value, separator)
+        emit(head + run[0] + inner)
+        emit(run[1:-1])
+        emit(newline + run[-1])
+        return
     opener = head + "[" + inner
     for child in value:
         text = _SCALAR_TEXT.get(type(child))
@@ -629,8 +637,8 @@ def _key(key: Any) -> str:
 def _flat(value: Any, separator: str) -> str:
     """``value`` in one encoder call, items joined by ``separator``.
 
-    A flat run holds scalars and lists of scalars, which cannot contain
-    themselves, so the circular-reference check would only cost time.
+    A flat run holds only scalars, which cannot contain themselves, so the
+    circular-reference check would only cost time.
     """
     encoder = json.JSONEncoder(
         ensure_ascii=False, check_circular=False, separators=(separator, ": ")

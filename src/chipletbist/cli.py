@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import chain, repeat
 
 from . import __version__
 from .bist import BridgeBehavior
@@ -19,6 +20,7 @@ from .campaign import (
     SCHEMA_VERSION,
     CampaignConfig,
     MapSpec,
+    _TextRows,
     build_campaign_map,
     canonical_json,
     load_config,
@@ -117,14 +119,35 @@ def _cmd_gen_map(args) -> int:
             "pitch_um": lattice.pitch_um,
         },
         "short_radius_um": graph.short_radius_um,
-        "positions": bump_map.positions,
+        "positions": _position_rows(bump_map),
         "colors": [c.value for c in bump_map.coloring],
         "blocks": bump_map.blocks,
         "block_count": bump_map.block_count,
-        "edges": list(graph.sorted_edges),
+        "edges": _edge_rows(graph, bump_map.bump_count),
     }
     _write_output(canonical_json(payload), args.out)
     return 0
+
+
+def _position_rows(bump_map) -> _TextRows:
+    """The positions' texts: rows of one parity share their x, and a row its y."""
+    cols, positions = bump_map.lattice.cols, bump_map.positions
+    xs = [float.__repr__(x) for x, _ in positions[: 2 * cols]]
+    ys = map(repeat, [float.__repr__(y) for _, y in positions[::cols]], repeat(cols))
+    whole, part = divmod(len(positions), len(xs))
+    return _TextRows(xs * whole + xs[:part], list(chain.from_iterable(ys)))
+
+
+def _edge_rows(graph, bump_count: int) -> _TextRows:
+    """The lattice graph's sorted edges as texts, each bump id formatted once."""
+    ids = list(map(int.__repr__, range(bump_count)))
+    reach = graph.period[1]
+    lower, upper = [], []
+    for start, low, up in graph.sorted_edges.row_patterns():
+        near = ids[start : start + reach]
+        lower += map(near.__getitem__, low)
+        upper += map(near.__getitem__, up)
+    return _TextRows(lower, upper)
 
 
 def _quad_fault_name(fault) -> str:

@@ -7,12 +7,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import chipletbist
+from chipletbist.bumpmap import LatticeKind
+from chipletbist.campaign import CampaignConfig, MapSpec, build_campaign_map, canonical_json
 from chipletbist.cli import main
+from chipletbist.errors import KitError
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -432,6 +436,69 @@ def test_gen_map_writes_valid_payload(tmp_path, capsys):
     colors = payload["colors"]
     for a, b in payload["edges"]:
         assert colors[a] != colors[b]
+
+
+def _reference_map_document(kind, rows, cols, pitch, factor, blocks):
+    """The gen-map document as canonical_json writes the plain payload: the
+    edges as listed pairs and the positions as stored."""
+    spec = MapSpec(LatticeKind(kind), rows, cols, pitch, factor)
+    bump_map, graph = build_campaign_map(CampaignConfig(spec, blocks))
+    lattice = bump_map.lattice
+    return canonical_json(
+        {
+            "version": 1,
+            "lattice": {
+                "kind": lattice.kind.value,
+                "rows": lattice.rows,
+                "cols": lattice.cols,
+                "pitch_um": lattice.pitch_um,
+            },
+            "short_radius_um": graph.short_radius_um,
+            "positions": bump_map.positions,
+            "colors": [c.value for c in bump_map.coloring],
+            "blocks": bump_map.blocks,
+            "block_count": bump_map.block_count,
+            "edges": list(graph.sorted_edges),
+        }
+    )
+
+
+@pytest.mark.parametrize("pitch", [20, 7.3, 3, 0.1, 1e-3])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 17), (17, 1), (2, 2), (7, 9), (33, 17)])
+@pytest.mark.parametrize("kind", ["hexagonal", "rectangular"])
+def test_gen_map_equals_the_listed_payload(capsys, kind, rows, cols, pitch):
+    for factor in (1.0, 1.9, 2.0, 2.5):
+        for blocks in range(1, min(cols, 4) + 1):
+            try:
+                want = _reference_map_document(kind, rows, cols, float(pitch), factor, blocks)
+            except KitError as exc:
+                want = f"{type(exc).__name__}: {exc}"
+            status, out, err = run_cli(
+                capsys, "gen-map", "--kind", kind, "--rows", str(rows), "--cols", str(cols),
+                "--pitch-um", str(pitch), "--radius-factor", str(factor), "--blocks", str(blocks),
+            )
+            case = (factor, blocks)
+            if want.startswith("ColoringError: "):
+                assert (status, out) == (2, ""), case
+                assert want.removeprefix("ColoringError: ") in err, case
+            else:
+                assert (status, err) == (0, ""), case
+                assert out == want, case
+
+
+def test_gen_map_holds_little_more_than_its_text(tmp_path):
+    # The edges and positions are laid out from per-row texts, not from a
+    # tuple and an encoding per item.
+    out_path = tmp_path / "map.json"
+    argv = ["gen-map", "--kind", "hexagonal", "--rows", "128", "--cols", "128",
+            "--pitch-um", "20", "--blocks", "16", "--out", str(out_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out_path.stat().st_size
 
 
 def test_simulate_is_byte_identical_across_runs(tmp_path, capsys):
