@@ -516,17 +516,15 @@ def _map_section(bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     }
 
 
-# How ``json`` writes a scalar of each exact type.  Other types, int and str
-# subclasses among them, go to the encoder (``_scalar``).
+# How ``json`` writes a scalar of each exact type.
 _encode_str = json.encoder.encode_basestring
 _SCALAR_TEXT = {
     str: _encode_str,
-    int: int.__repr__,
+    int: repr,
     float: lambda value: float.__repr__(value) if math.isfinite(value) else json.dumps(value),
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
-_SCALAR_TYPES = frozenset(_SCALAR_TEXT)
 
 
 class _TextRows:
@@ -540,10 +538,8 @@ class _TextRows:
         return len(self.columns[0])
 
 
-# A flat list of at least this many items is encoded by one call to ``json``'s
-# C encoder; a shorter one is written scalar by scalar, which costs less than
-# building an encoder.
-_LONG_RUN = 16
+class _Unlisted(Exception):
+    """A value of a type that ``_write`` does not list."""
 
 
 def canonical_json(obj: Any) -> str:
@@ -551,37 +547,44 @@ def canonical_json(obj: Any) -> str:
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"``, with a ``_TextRows`` written as the list
-    of scalar lists it stands for.  ``json`` writes indented text with its
-    pure-Python encoder, so this writer walks the containers itself and
-    appends each piece of text to one list, joined once at the end.  Dicts
-    are written key by key and scalars in short lists by their exact type: a
-    finite float as ``float.__repr__``, as ``json`` writes it, and ``NaN`` or
-    ``Infinity`` by ``json`` itself.  A list of at least ``_LONG_RUN``
-    scalars goes to ``json`` unindented in one call, which ``json`` encodes
-    in C.  A ``_TextRows`` is laid out from its columns of texts with one
-    slice assignment per column and one join; nothing in it is encoded.
+    of scalar lists it stands for.  ``json`` indents with its pure-Python
+    encoder, so this writer walks the kit's own types and joins its pieces
+    once: a dict with str keys key by key, a list or tuple of one exact
+    scalar type in one join, any other list or tuple item by item, and a
+    scalar of exact type (``str``, ``int``, ``float``, ``bool``, ``None``)
+    as ``json`` writes it.  Any other value (a key that is not a str, a
+    subclass, an unknown object) hands the whole document to ``json.dumps``.
     """
     chunks: list[str] = []
-    _write(obj, "\n", "", chunks.append)
+    try:
+        _write(obj, "\n", "", chunks.append)
+    except _Unlisted:
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     chunks.append("\n")
     return "".join(chunks)
 
 
 def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> None:
     """Emit ``head`` and then ``value`` as indented JSON, for a level whose
-    lines start with ``newline``."""
-    if not isinstance(value, (dict, list, tuple, _TextRows)):
-        emit(head + _scalar(value))
+    lines start with ``newline``; _Unlisted for a kind it does not write."""
+    kind = type(value)
+    text = _SCALAR_TEXT.get(kind)
+    if text:
+        emit(head + text(value))
         return
+    if kind not in (dict, list, tuple, _TextRows):
+        raise _Unlisted
     if not value:
-        emit(head + ("{}" if isinstance(value, dict) else "[]"))
+        emit(head + ("{}" if kind is dict else "[]"))
         return
     inner = newline + "  "
     separator = "," + inner
-    if isinstance(value, dict):
+    if kind is dict:
         opener = head + "{" + inner
         for key, child in sorted(value.items()):
-            key = _encode_str(key) if type(key) is str else _key(key)
+            if type(key) is not str:
+                raise _Unlisted
+            key = _encode_str(key)
             text = _SCALAR_TEXT.get(type(child))
             if text:
                 emit(f"{opener}{key}: {text(child)}")
@@ -590,7 +593,7 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
             opener = separator
         emit(newline + "}")
         return
-    if type(value) is _TextRows:
+    if kind is _TextRows:
         # Each row is its opener, then its columns' texts with a separator between.
         deeper, columns, count = inner + "  ", value.columns, len(value)
         width = 2 * len(columns)
@@ -602,48 +605,19 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
         pieces.append(f"{inner}]{newline}]")
         emit("".join(pieces))
         return
-    if len(value) >= _LONG_RUN and _SCALAR_TYPES.issuperset(map(type, value)):
-        run = _flat(value, separator)
-        emit(head + run[0] + inner)
-        emit(run[1:-1])
-        emit(newline + run[-1])
+    types = set(map(type, value))
+    text = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None
+    if text:
+        # Three pieces, so that the joined items are not copied once more.
+        emit(head + "[" + inner)
+        emit(separator.join(map(text, value)))
+        emit(newline + "]")
         return
     opener = head + "[" + inner
     for child in value:
-        text = _SCALAR_TEXT.get(type(child))
-        if text:
-            emit(opener + text(child))
-        else:
-            _write(child, inner, opener, emit)
+        _write(child, inner, opener, emit)
         opener = separator
     emit(newline + "]")
-
-
-def _scalar(value: Any) -> str:
-    """A scalar as ``json`` writes it; TypeError for what JSON cannot hold."""
-    text = _SCALAR_TEXT.get(type(value))
-    return text(value) if text else _flat(value, "")
-
-
-def _key(key: Any) -> str:
-    """A dict key as ``json`` writes it: other scalars are coerced to strings."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + _scalar(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _flat(value: Any, separator: str) -> str:
-    """``value`` in one encoder call, items joined by ``separator``.
-
-    A flat run holds only scalars, which cannot contain themselves, so the
-    circular-reference check would only cost time.
-    """
-    encoder = json.JSONEncoder(
-        ensure_ascii=False, check_circular=False, separators=(separator, ": ")
-    )
-    return encoder.encode(value)
 
 
 def _is_index(value: Any, size: int) -> bool:

@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import replace
 from itertools import chain, repeat
+from operator import attrgetter
 
 from . import __version__
 from .bist import BridgeBehavior
@@ -120,7 +121,7 @@ def _cmd_gen_map(args) -> int:
         },
         "short_radius_um": graph.short_radius_um,
         "positions": _position_rows(bump_map),
-        "colors": [c.value for c in bump_map.coloring],
+        "colors": list(map(attrgetter("_value_"), bump_map.coloring)),
         "blocks": bump_map.blocks,
         "block_count": bump_map.block_count,
         "edges": _edge_rows(graph, bump_map.bump_count),

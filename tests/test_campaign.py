@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from chipletbist.bist import Bridge, BridgeBehavior, StuckAt
 from chipletbist.bumpmap import AdjacencyGraph, LatticeKind
 from chipletbist.campaign import (
-    _LONG_RUN,
     CampaignConfig,
     MapSpec,
     SamplerSpec,
@@ -350,43 +349,47 @@ def test_canonical_json_equals_json_dumps(make_encoder, value):
     assert got == want
 
 
-# The same comparison for runs of at least _LONG_RUN items, which go to the
-# encoder in one call and are spliced into the indented text.  The strings
-# look like the joints the splicing looks for.
-spliced_text = json_text | st.sampled_from(
+# The same comparison for runs of LONG_RUN to LONG_RUN + 8 items, longer
+# than the lists json_trees makes: runs of one exact scalar type, which the
+# writer joins in one call; mixed runs and runs of scalar lists, written item
+# by item; and subclass scalars, non-str keys and unknown objects, which hand
+# the whole document to json.dumps.  The strings look like the brackets,
+# separators and indents of the text around them.
+LONG_RUN = 16
+structural_text = json_text | st.sampled_from(
     ["],\n      [", "],\n    [", "]\0[", "\0", "]", "[", "],", '"', '"],["', "[]", "{}", "\\"]
 )
-long_scalars = json_scalars | spliced_text
+long_scalars = json_scalars | structural_text
 scalar_lists = st.lists(long_scalars, min_size=1, max_size=3)
 long_runs = (
-    st.lists(long_scalars, min_size=_LONG_RUN, max_size=_LONG_RUN + 8)
-    | st.lists(scalar_lists | scalar_lists.map(tuple), min_size=_LONG_RUN, max_size=_LONG_RUN + 8)
+    st.lists(long_scalars, min_size=LONG_RUN, max_size=LONG_RUN + 8)
+    | st.lists(scalar_lists | scalar_lists.map(tuple), min_size=LONG_RUN, max_size=LONG_RUN + 8)
     | st.lists(
         long_scalars
         | scalar_lists
         | st.lists(long_scalars, max_size=0)
         | st.lists(scalar_lists | st.lists(long_scalars, max_size=0), min_size=1, max_size=2),
-        min_size=_LONG_RUN,
-        max_size=_LONG_RUN + 8,
+        min_size=LONG_RUN,
+        max_size=LONG_RUN + 8,
     )
-    # A long run of scalar lists with one item that must keep it off the
-    # one-call path: a scalar, an empty or nested list, or a dict.
+    # A long run of scalar lists with one other item: a scalar, an empty or
+    # nested list, or a dict.
     | st.builds(
         lambda run, odd, at: run[:at] + [odd] + run[at:],
-        st.lists(scalar_lists, min_size=_LONG_RUN, max_size=_LONG_RUN + 8),
+        st.lists(scalar_lists, min_size=LONG_RUN, max_size=LONG_RUN + 8),
         st.sampled_from([7, "],\n      [", [], (), [[]], [1, [2]], ([3, 4],), {}, {"a": 5}]),
-        st.integers(0, _LONG_RUN),
+        st.integers(0, LONG_RUN),
     )
-    | st.sampled_from([spliced_text, st.integers(), st.integers() | st.floats()]).flatmap(
+    | st.sampled_from([structural_text, st.integers(), st.integers() | st.floats()]).flatmap(
         lambda keys: st.dictionaries(
-            keys, long_scalars, min_size=_LONG_RUN, max_size=_LONG_RUN + 8
+            keys, long_scalars, min_size=LONG_RUN, max_size=LONG_RUN + 8
         )
     )
 )
 # At the top, and nested one and two levels down, where the indent differs.
 long_run_trees = (
     long_runs
-    | st.dictionaries(spliced_text, long_runs, min_size=1, max_size=2)
+    | st.dictionaries(structural_text, long_runs, min_size=1, max_size=2)
     | st.lists(st.lists(long_runs, min_size=1, max_size=2), min_size=1, max_size=2)
 )
 
@@ -404,15 +407,14 @@ class _Str(str):
 
 
 LONG_RUN_EXAMPLES = {
-    # A text check that counts "[" in the encoded run takes this for a list
-    # of scalar pairs.
+    # Runs of scalar pairs with one nested or empty item among them.
     "nested-then-scalar": [[1, [2]], 3] + [[i, i] for i in range(70)],
     "nested-inner": [[1, [2]]] + [[i, i] for i in range(70)],
     "nested-inner-dict": [[1, {"a": 2}]] + [[i, i] for i in range(70)],
     "empty-inner": [[i] for i in range(40)] + [[]],
     "empty-inner-tuple": [()] + [(i, i) for i in range(40)],
-    "joint-strings": [["],\n      [", "],\n    [", "]\0[", "\0"] for _ in range(40)],
-    "joint-string-scalars": ["],\n      [", "]\0[", "]", "[", '"'] * 10,
+    "structural-strings": [["],\n      [", "],\n    [", "]\0[", "\0"] for _ in range(40)],
+    "structural-string-scalars": ["],\n      [", "]\0[", "]", "[", '"'] * 10,
     "lists-and-tuples": [[i, str(i)] if i % 2 else (i, float(i)) for i in range(40)],
     "scalar-then-list": [1] * 40 + [[1]],
     "special-floats": [[True, None, 1.5, math.nan, -math.inf, math.inf, -0.0]] * 20,

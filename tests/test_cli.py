@@ -963,6 +963,69 @@ def test_commands_call_the_names_the_tracer_wraps(
     assert calls, f"{argv[0]} did not call cli.{name}"
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The documents canonical_json hands to json.dumps, one item each."""
+    import chipletbist.campaign as campaign
+
+    counted = []
+
+    class Counted(campaign._Unlisted):
+        def __init__(self, *args):
+            counted.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(campaign, "_Unlisted", Counted)
+    return counted
+
+
+# Every JSON document a command writes; its types must all be ones the
+# writer lists, so that none of them moves onto the json.dumps path.
+KIT_DOCUMENTS = {
+    "gen-map-hex-blocks": ["gen-map", "--kind", "hexagonal", "--rows", "16", "--cols", "16",
+                           "--pitch-um", "20", "--blocks", "4"],
+    "gen-map-rect-1x40": ["gen-map", "--kind", "rectangular", "--rows", "1", "--cols", "40",
+                          "--pitch-um", "20"],
+    "dictionary": ["dictionary", "--format", "json"],
+    "simulate": ["simulate", "--config", str(REPO / "configs" / "campaign_16x16_hex.json"),
+                 "--out", "{out}"],
+    "diagnose": ["diagnose", "--report", "{report}"],
+    "fit-polynomial": ["fit", "--csv", "{csv}", "--family", "polynomial"],
+    "fit-exponential": ["fit", "--csv", "{csv}", "--family", "exponential"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIT_DOCUMENTS))
+def test_no_command_document_takes_the_json_dumps_path(
+    capsys, tmp_path, stored_report, fallbacks, name
+):
+    fields = {
+        "csv": str(REPO / "configs" / "synthetic_bridge_severity.csv"),
+        "out": str(tmp_path / "report.json"),
+        "report": stored_report,
+    }
+    argv = [arg.format(**fields) for arg in KIT_DOCUMENTS[name]]
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert json.loads(out)
+    assert fallbacks == []
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{"counts": {1: 2, 3: [4, 5]}}, {"ids": [_Int(1), 2], "name": "n"}],
+    ids=["int-keys", "int-subclass"],
+)
+def test_an_unlisted_type_takes_the_json_dumps_path(fallbacks, document):
+    want = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(document) == want
+    assert len(fallbacks) == 1
+
+
 @pytest.mark.skipif(
     importlib.util.find_spec("setuptools") is None, reason="setuptools is not installed"
 )
