@@ -86,6 +86,21 @@ def test_hex_2x2_positions_offsets_odd_row():
     assert bump_map.positions[2][1] == pytest.approx(17.320508075688772)
 
 
+@pytest.mark.parametrize("pitch", [20.0, 7.3, 1e-3])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 9])
+@pytest.mark.parametrize("kind", list(LatticeKind))
+def test_positions_follow_the_per_bump_formula(kind, rows, pitch):
+    hexagonal = kind is LatticeKind.HEXAGONAL
+    row_step = pitch * math.sqrt(3.0) / 2.0 if hexagonal else pitch
+    for cols in (1, 2, 3, 4, 5, 9):
+        want = tuple(
+            (c * pitch + (pitch / 2.0 if hexagonal and r % 2 else 0.0), r * row_step)
+            for r in range(rows)
+            for c in range(cols)
+        )
+        assert build_bump_map(Lattice(kind, rows, cols, pitch)).positions == want, cols
+
+
 def test_row_major_bump_ids():
     bump_map = build_bump_map(rect_lattice(3, 4))
     assert bump_map.bump_count == 12
