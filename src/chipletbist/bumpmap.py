@@ -8,7 +8,7 @@ offsets and, on a hexagonal lattice, on the lower bump's row parity.  So
 each such offset class is decided once, exactly, in integers, from the pitch
 and the radius taken as the exact values of their doubles: a radius on a
 ring of the lattice holds the whole ring, and no pair is ever tested on its
-rounded stored positions.  The graph keeps only the accepted classes and
+rounded positions.  The graph keeps only the accepted classes and
 answers neighbours, degrees, edges and the edge count by arithmetic on (row,
 column); no list over the map's edges or bumps is built.  A proper
 4-coloring of the graph decides which of the four test codewords each bump
@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat, starmap
+from itertools import accumulate, chain, repeat, starmap
 from operator import add
 
 from .errors import ColoringError, ParameterError
@@ -100,7 +100,7 @@ class Lattice:
 
 @dataclass(frozen=True)
 class BumpMap:
-    """Bump positions plus (once assigned) codeword coloring and block split.
+    """A lattice plus (once assigned) codeword coloring and block split.
 
     Bump ids are dense, 0..rows*cols-1, in row-major order.  ``coloring`` and
     ``blocks`` are tuples indexed by bump id; they are None until
@@ -108,14 +108,19 @@ class BumpMap:
     """
 
     lattice: Lattice
-    positions: tuple[tuple[float, float], ...]
     coloring: tuple[Color, ...] | None = None
     blocks: tuple[int, ...] | None = None
     block_count: int | None = None
 
     @property
     def bump_count(self) -> int:
-        return len(self.positions)
+        return self.lattice.bump_count
+
+    @cached_property
+    def positions(self) -> tuple[tuple[float, float], ...]:
+        """Each bump's (x, y) in micrometers, by id, from :func:`lattice_coordinates`."""
+        xs, odd_xs, ys = lattice_coordinates(self.lattice)
+        return tuple((x, y) for r, y in enumerate(ys) for x in (odd_xs if r % 2 else xs))
 
     def row_col(self, bump: int) -> tuple[int, int]:
         return divmod(bump, self.lattice.cols)
@@ -288,8 +293,9 @@ class _LatticeEdges(Sequence):
         if not 0 <= index < starts[-1]:
             raise IndexError("edge index out of range")
         r = bisect_right(starts, index) - 1
-        row = _shifted(r * self._graph._cols, *self._pattern(r))
-        return next(islice(row, index - starts[r], None))
+        (lower, upper), k = self._pattern(r), index - starts[r]
+        start = r * self._graph._cols
+        return start + lower[k], start + upper[k]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return chain.from_iterable(starmap(_shifted, self.row_patterns()))
@@ -300,8 +306,9 @@ def _shifted(start: int, lower: list[int], upper: list[int]) -> Iterator[tuple[i
     return zip(map(add, repeat(start), lower), map(add, repeat(start), upper))
 
 
-def build_bump_map(lattice: Lattice) -> BumpMap:
-    """Realize lattice geometry: positions in micrometers, row-major ids.
+def lattice_coordinates(lattice: Lattice) -> tuple[list[float], list[float], list[float]]:
+    """The x of each column in even rows and in odd rows, and the y of each
+    row, in micrometers.
 
     Hexagonal lattices offset odd rows by pitch/2 and space rows by
     pitch*sqrt(3)/2 (close packing); rectangular lattices are a plain grid.
@@ -311,11 +318,12 @@ def build_bump_map(lattice: Lattice) -> BumpMap:
     row_step = pitch * math.sqrt(3.0) / 2.0 if hexagonal else pitch
     xs = [c * pitch for c in range(lattice.cols)]
     odd_xs = [x + pitch / 2.0 for x in xs] if hexagonal else xs
-    positions: list[tuple[float, float]] = []
-    for r in range(lattice.rows):
-        y = r * row_step
-        positions += [(x, y) for x in (odd_xs if r % 2 else xs)]
-    return BumpMap(lattice=lattice, positions=tuple(positions))
+    return xs, odd_xs, [r * row_step for r in range(lattice.rows)]
+
+
+def build_bump_map(lattice: Lattice) -> BumpMap:
+    """The lattice's map, with row-major ids and no coloring or blocks yet."""
+    return BumpMap(lattice)
 
 
 def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> AdjacencyGraph:
@@ -323,7 +331,7 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
 
     The distance is the lattice's own: the pitch and the radius are taken
     as the exact values of their doubles, and the hexagonal row step as
-    exactly pitch*sqrt(3)/2, not as the rounded stored positions.  In units
+    exactly pitch*sqrt(3)/2, not as rounded positions.  In units
     of pitch**2/4, the squared distance of row offset dr and column offset
     dc is 4*(dc**2 + dr**2) on a rectangular lattice and
     (2*dc + s)**2 + 3*dr**2 on a hexagonal one, where s is 0 for an even dr
@@ -336,8 +344,7 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     sqrt(3) ring out whole, unless its product with the pitch rounds up
     past sqrt(3)*pitch (it does at pitch 3, not at 20 or 7.3).
 
-    The map must hold the positions :func:`build_bump_map` gives its
-    lattice.  The radius must be positive with a normal, finite square.
+    The radius must be positive with a normal, finite square.
     The returned graph holds the accepted classes, not the pairs, so
     building it costs the number of classes within the radius, not of
     edges.
@@ -349,11 +356,6 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
             f"1.3e154 um, got {short_radius_um}"
         )
     lattice = bump_map.lattice
-    if bump_map.bump_count != lattice.bump_count:
-        raise ParameterError(
-            f"bump map holds {bump_map.bump_count} positions for a "
-            f"{lattice.rows}x{lattice.cols} lattice"
-        )
     (pn, pd), (rn, rd) = lattice.pitch_um.as_integer_ratio(), short_radius_um.as_integer_ratio()
     # The largest squared distance within the radius, in units of pitch**2/4.
     quarters_max = 4 * (rn * pd) ** 2 // (pn * rd) ** 2

@@ -454,9 +454,9 @@ def run_campaign(config: CampaignConfig) -> dict:
     resolved, and only their same-block neighborhoods reach ``diagnose``.
     The result equals running the full-map ``run_block_test`` and diagnosing
     every block, at a per-fault cost independent of the map size.  The map
-    build is not: the positions, colors, blocks and block sizes each take a
-    pass over the bumps (the short graph and the greedy rows do not).  The
-    metrics are counts over the finished fault results.
+    build is not: the colors, blocks and block sizes each take a pass over
+    the bumps (the short graph and the greedy rows do not, and no position
+    is computed).  The metrics are counts over the finished fault results.
     """
     bump_map, graph = build_campaign_map(config)
     if config.faults is not None:

@@ -16,7 +16,7 @@ from operator import attrgetter
 
 from . import __version__
 from .bist import BridgeBehavior
-from .bumpmap import COLOR_ORDER, DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind
+from .bumpmap import COLOR_ORDER, DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind, lattice_coordinates
 from .campaign import (
     SCHEMA_VERSION,
     CampaignConfig,
@@ -120,7 +120,7 @@ def _cmd_gen_map(args) -> int:
             "pitch_um": lattice.pitch_um,
         },
         "short_radius_um": graph.short_radius_um,
-        "positions": _position_rows(bump_map),
+        "positions": _position_rows(lattice),
         "colors": list(map(attrgetter("_value_"), bump_map.coloring)),
         "blocks": bump_map.blocks,
         "block_count": bump_map.block_count,
@@ -130,13 +130,13 @@ def _cmd_gen_map(args) -> int:
     return 0
 
 
-def _position_rows(bump_map) -> _TextRows:
+def _position_rows(lattice) -> _TextRows:
     """The positions' texts: rows of one parity share their x, and a row its y."""
-    cols, positions = bump_map.lattice.cols, bump_map.positions
-    xs = [float.__repr__(x) for x, _ in positions[: 2 * cols]]
-    ys = map(repeat, [float.__repr__(y) for _, y in positions[::cols]], repeat(cols))
-    whole, part = divmod(len(positions), len(xs))
-    return _TextRows(xs * whole + xs[:part], list(chain.from_iterable(ys)))
+    xs, odd_xs, ys = lattice_coordinates(lattice)
+    row_pair = [*map(float.__repr__, xs), *map(float.__repr__, odd_xs)]
+    whole, part = divmod(lattice.bump_count, len(row_pair))
+    ys = map(repeat, map(float.__repr__, ys), repeat(lattice.cols))
+    return _TextRows(row_pair * whole + row_pair[:part], list(chain.from_iterable(ys)))
 
 
 def _edge_rows(graph, bump_count: int) -> _TextRows:

@@ -15,7 +15,7 @@ over a smaller universe leaves responses unmodeled.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd
 from typing import TYPE_CHECKING
@@ -36,7 +36,6 @@ from .bumpmap import (
     Color,
     Lattice,
     LatticeKind,
-    build_bump_map,
 )
 from .errors import ParameterError
 
@@ -74,12 +73,7 @@ def quad_fault_universe() -> tuple[QuadFault, ...]:
 def _quad_map() -> BumpMap:
     # One bump per color in a single block; any pair may bridge.
     lattice = Lattice(LatticeKind.RECTANGULAR, rows=1, cols=4, pitch_um=20.0)
-    return replace(
-        build_bump_map(lattice),
-        coloring=COLOR_ORDER,
-        blocks=(0, 0, 0, 0),
-        block_count=1,
-    )
+    return BumpMap(lattice, COLOR_ORDER, (0, 0, 0, 0), 1)
 
 
 def _signature_of(report: BlockTestReport) -> Signature:

@@ -1,11 +1,11 @@
 """Tests for lattice geometry, adjacency, coloring, and block partitioning."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +13,7 @@ import pytest
 from chipletbist.bist import NOMINAL_RESPONSE, Bridge, BridgeBehavior, run_block_test
 from chipletbist.bumpmap import (
     AdjacencyGraph,
+    BumpMap,
     COLOR_ORDER,
     Color,
     DEFAULT_SHORT_RADIUS_FACTOR,
@@ -101,6 +102,18 @@ def test_positions_follow_the_per_bump_formula(kind, rows, pitch):
         assert build_bump_map(Lattice(kind, rows, cols, pitch)).positions == want, cols
 
 
+def test_a_map_is_its_lattice_and_the_decisions_made_on_it():
+    lattice = hex_lattice(3, 4)
+    bump_map = build_bump_map(lattice)
+    assert [f.name for f in dataclasses.fields(BumpMap)] == [
+        "lattice", "coloring", "blocks", "block_count",
+    ]
+    assert bump_map == BumpMap(lattice)
+    assert bump_map.bump_count == 12
+    # Computed on first read and kept.
+    assert bump_map.positions is bump_map.positions
+
+
 def test_row_major_bump_ids():
     bump_map = build_bump_map(rect_lattice(3, 4))
     assert bump_map.bump_count == 12
@@ -115,13 +128,6 @@ def test_short_radius_must_be_positive():
     for radius in (0.0, -1.0, math.inf, math.nan, 1e300, 1e-160):
         with pytest.raises(ParameterError):
             potential_short_graph(bump_map, radius)
-
-
-def test_short_graph_rejects_positions_not_matching_lattice():
-    bump_map = build_bump_map(rect_lattice(2, 2))
-    short = replace(bump_map, positions=bump_map.positions[:3])
-    with pytest.raises(ParameterError):
-        potential_short_graph(short, 1.5 * PITCH)
 
 
 # Edge count and SHA-256 of repr(sorted(edges)) at pitch 20, as the k-d tree

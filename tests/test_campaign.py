@@ -3,7 +3,6 @@
 import json
 import math
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -335,14 +334,10 @@ def _text_or_error(encode, value):
         return type(exc)
 
 
-@pytest.mark.parametrize(
-    "make_encoder", [json.encoder.c_make_encoder, None], ids=["c-encoder", "no-c-encoder"]
-)
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(value=json_trees)
-def test_canonical_json_equals_json_dumps(make_encoder, value):
-    with mock.patch.object(json.encoder, "c_make_encoder", make_encoder):
-        got = _text_or_error(canonical_json, value)
+def test_canonical_json_equals_json_dumps(value):
+    got = _text_or_error(canonical_json, value)
     want = _text_or_error(
         lambda v: json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False) + "\n", value
     )
@@ -430,27 +425,20 @@ LONG_RUN_EXAMPLES = {
 }
 
 
-def _assert_equals_json_dumps(make_encoder, value):
-    with mock.patch.object(json.encoder, "c_make_encoder", make_encoder):
-        got = _text_or_error(canonical_json, value)
+def _assert_equals_json_dumps(value):
+    got = _text_or_error(canonical_json, value)
     want = _text_or_error(
         lambda v: json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False) + "\n", value
     )
     assert got == want
 
 
-@pytest.mark.parametrize(
-    "make_encoder", [json.encoder.c_make_encoder, None], ids=["c-encoder", "no-c-encoder"]
-)
 @pytest.mark.parametrize("value", LONG_RUN_EXAMPLES.values(), ids=LONG_RUN_EXAMPLES)
-def test_canonical_json_long_run_examples(make_encoder, value):
-    _assert_equals_json_dumps(make_encoder, value)
+def test_canonical_json_long_run_examples(value):
+    _assert_equals_json_dumps(value)
 
 
-@pytest.mark.parametrize(
-    "make_encoder", [json.encoder.c_make_encoder, None], ids=["c-encoder", "no-c-encoder"]
-)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(value=long_run_trees)
-def test_canonical_json_long_runs_equal_json_dumps(make_encoder, value):
-    _assert_equals_json_dumps(make_encoder, value)
+def test_canonical_json_long_runs_equal_json_dumps(value):
+    _assert_equals_json_dumps(value)

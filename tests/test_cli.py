@@ -1011,6 +1011,31 @@ def test_no_command_document_takes_the_json_dumps_path(
     assert fallbacks == []
 
 
+def _raise(*args):
+    raise AssertionError("bump positions were computed")
+
+
+def test_simulate_and_diagnose_compute_no_position(capsys, tmp_path, monkeypatch):
+    import chipletbist.bumpmap as bumpmap
+
+    monkeypatch.setattr(bumpmap, "lattice_coordinates", _raise)
+    report = str(tmp_path / "report.json")
+    config = str(REPO / "configs" / "campaign_16x16_hex.json")
+    assert run_cli(capsys, "simulate", "--config", config, "--out", report)[0] == 0
+    assert run_cli(capsys, "diagnose", "--report", report)[0] == 0
+
+
+def test_gen_map_builds_no_positions_tuple(capsys, monkeypatch):
+    import chipletbist.bumpmap as bumpmap
+
+    monkeypatch.setattr(bumpmap.BumpMap, "positions", property(_raise))
+    status, out, _ = run_cli(
+        capsys, "gen-map", "--kind", "hexagonal", "--rows", "8", "--cols", "8", "--pitch-um", "20"
+    )
+    assert status == 0
+    assert len(json.loads(out)["positions"]) == 64
+
+
 class _Int(int):
     pass
 

@@ -1,6 +1,10 @@
 """Tests for the package's public surface, which loads on first use."""
 
+import contextlib
 import importlib
+import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +83,16 @@ def test_shared_vocabulary_is_defined_once():
     assert defects.ElectricalScenario is kinds.ElectricalScenario
     assert curves.CurveFamily is kinds.CurveFamily
     assert curves.MAX_POLYNOMIAL_DEGREE == kinds.MAX_POLYNOMIAL_DEGREE
+
+
+def test_readme_library_example_runs_as_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    # The first print's comment shows what it prints.
+    want = re.search(r"^print\(.*\)  # (.*)$", code, re.M).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == want
+    assert len(lines) > 1
