@@ -238,6 +238,9 @@ def parse_config(data: dict) -> CampaignConfig:
         report_path = data["output"].get("report")
         if report_path is not None and not isinstance(report_path, str):
             raise ParameterError("config.output.report: expected a path string")
+        # A lone surrogate does not encode, and the streamed report echoes the path.
+        if report_path is not None and any("\ud800" <= char <= "\udfff" for char in report_path):
+            raise ParameterError(f"config.output.report: expected UTF-8 text, got {report_path!r}")
         output_report = report_path
     return CampaignConfig(
         map_spec=map_spec,
@@ -527,15 +530,33 @@ _SCALAR_TEXT = {
 }
 
 
+# Rows per emitted piece: small beside the document, large beside the per-piece work.
+_BATCH_ROWS = 32768
+
+
 class _TextRows:
     """A list of equal-length scalar lists, given as its columns of JSON texts:
-    ``columns[i][k]`` is item i of row k.  Only ``canonical_json`` reads it."""
+    ``columns[i][k]`` is item i of row k.  Only ``_write`` reads it."""
 
     def __init__(self, *columns: list[str]) -> None:
         self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
+
+    def batch(self, start: int, head: str, inner: str) -> str:
+        """Rows ``start`` to ``start + _BATCH_ROWS`` at the level whose lines
+        start with ``inner``: each its opener, then its columns' texts with a
+        separator between; row 0's opener opens the list after ``head``."""
+        deeper, columns = inner + "  ", self.columns
+        count, width = min(_BATCH_ROWS, len(self) - start), 2 * len(columns)
+        pieces = ["," + deeper] * (width * count)
+        pieces[::width] = [f"{inner}],{inner}[{deeper}"] * count
+        if not start:
+            pieces[0] = f"{head}[{inner}[{deeper}"
+        for i, column in enumerate(columns):
+            pieces[2 * i + 1 :: width] = column[start : start + count]
+        return "".join(pieces)
 
 
 class _Unlisted(Exception):
@@ -557,11 +578,17 @@ def canonical_json(obj: Any) -> str:
     """
     chunks: list[str] = []
     try:
-        _write(obj, "\n", "", chunks.append)
+        stream_json(obj, chunks.append)
     except _Unlisted:
         return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    chunks.append("\n")
     return "".join(chunks)
+
+
+def stream_json(obj: Any, emit: Callable[[str], None]) -> None:
+    """Emit the pieces whose join is ``canonical_json(obj)``, in order; a type
+    that ``_write`` does not list raises _Unlisted, after the pieces before it."""
+    _write(obj, "\n", "", emit)
+    emit("\n")
 
 
 def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> None:
@@ -594,16 +621,10 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
         emit(newline + "}")
         return
     if kind is _TextRows:
-        # Each row is its opener, then its columns' texts with a separator between.
-        deeper, columns, count = inner + "  ", value.columns, len(value)
-        width = 2 * len(columns)
-        pieces = ["," + deeper] * (width * count)
-        pieces[::width] = [f"{inner}],{inner}[{deeper}"] * count
-        pieces[0] = f"{head}[{inner}[{deeper}"
-        for i, column in enumerate(columns):
-            pieces[2 * i + 1 :: width] = column
-        pieces.append(f"{inner}]{newline}]")
-        emit("".join(pieces))
+        # No batch outlives its emit, so at most one is held beside its bytes.
+        for start in range(0, len(value), _BATCH_ROWS):
+            emit(value.batch(start, head, inner))
+        emit(f"{inner}]{newline}]")
         return
     types = set(map(type, value))
     text = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None

@@ -23,11 +23,11 @@ from .campaign import (
     MapSpec,
     _TextRows,
     build_campaign_map,
-    canonical_json,
     load_config,
     rediagnose_report,
     reject_duplicate_keys,
     run_campaign,
+    stream_json,
 )
 from .diagnosis import QuadStuckAt, build_fault_dictionary, diagnosability_ratio
 from .errors import KitError, ParameterError, SimulationError
@@ -39,17 +39,19 @@ from .kinds import (
     PhysicalDefect,
 )
 
-# The tracer's hook: perfbench/tracer.py times layers by wrapping these eight
-# names on this module, and all eight go once the program traces itself.  The
-# four bumpmap imports are unused here.  The four functions forward to
-# circuits, curves and defects, which load when a command first calls one, so
-# the other commands never import those modules.
+# The tracer's hook: perfbench/tracer.py times layers by wrapping these nine
+# names on this module, and all nine go once the program traces itself.  The
+# four bumpmap imports and canonical_json are unused here: the commands stream
+# their documents.  The four functions forward to circuits, curves and
+# defects, which load when a command first calls one, so the other commands
+# never import those modules.
 from .bumpmap import (  # noqa: F401
     assign_codewords,
     build_bump_map,
     partition_blocks,
     potential_short_graph,
 )
+from .campaign import canonical_json  # noqa: F401
 
 
 def classify_defect(scenario, magnitude):
@@ -87,24 +89,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_output(text: str, out: str | None) -> None:
-    # Encode first, so that text holding an argument's non-UTF-8 bytes (as
-    # lone surrogates) fails before anything is written.
+    # Stdout ends with a newline, as every JSON document does.
+    if out is None and not text.endswith("\n"):
+        text += "\n"
+    _stream(lambda emit: emit(text), out)
+
+
+def _write_json(document, out: str | None) -> None:
+    _stream(lambda emit: stream_json(document, emit), out)
+
+
+def _stream(walk, out: str | None) -> None:
+    """Write each piece that ``walk(emit)`` emits as UTF-8, as it comes: to
+    ``out``, opened once the first piece has encoded (so an argument's
+    non-UTF-8 bytes, as lone surrogates, leave no file), or beneath stdout's
+    text layer, so that stdout gets the same bytes whatever its encoding."""
+    handle = None
+
+    def emit(text: str) -> None:
+        nonlocal handle
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start:exc.end]
+            raise ParameterError(
+                f"output is not valid UTF-8 ({bad!r} at character {exc.start}); "
+                "a text argument holds bytes that are not UTF-8"
+            ) from None
+        if handle is None:
+            if out is None:
+                sys.stdout.flush()  # what the text layer holds goes first
+            handle = sys.stdout.buffer if out is None else open(out, "wb")
+        handle.write(data)
+
     try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        bad = exc.object[exc.start:exc.end]
-        raise ParameterError(
-            f"output is not valid UTF-8 ({bad!r} at character {exc.start}); "
-            "a text argument holds bytes that are not UTF-8"
-        ) from None
-    if out is None:
-        # The same bytes as --out, whatever the locale's encoding: flush
-        # what the text layer holds, then write beneath it.
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data if data.endswith(b"\n") else data + b"\n")
-    else:
-        with open(out, "wb") as handle:
-            handle.write(data)
+        walk(emit)
+    finally:
+        if out is not None and handle is not None:
+            handle.close()
 
 
 def _cmd_gen_map(args) -> int:
@@ -126,7 +148,7 @@ def _cmd_gen_map(args) -> int:
         "block_count": bump_map.block_count,
         "edges": _edge_rows(graph, bump_map.bump_count),
     }
-    _write_output(canonical_json(payload), args.out)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -184,7 +206,7 @@ def _cmd_dictionary(args) -> int:
             "ambiguous_pairs": [list(p) for p in pairs],
             "entries": entries,
         }
-        _write_output(canonical_json(payload), args.out)
+        _write_json(payload, args.out)
         return 0
     if args.format == "csv":
         lines = ["fault,behavior,green,blue,red,black"]
@@ -219,19 +241,19 @@ def _cmd_simulate(args) -> int:
     if args.format == "csv" and out is None:
         raise ParameterError("--format csv needs --out or output.report in the config")
     report = run_campaign(config)
-    _write_output(canonical_json(report), out)
+    _write_json(report, out)
     if out is not None:
         metrics = report["metrics"]
         if args.format == "csv":
             rates = (metrics["detection_rate"], metrics["inter_block_wired_or"]["escape_rate"])
-            text = (
+            _write_output(
                 "injected,detected,detection_rate,inter_block_wired_or_escape_rate\n"
                 f"{metrics['injected']},{metrics['detected']},"
-                + ",".join("" if rate is None else str(rate) for rate in rates)
+                + ",".join("" if rate is None else str(rate) for rate in rates),
+                None,
             )
         else:
-            text = canonical_json(metrics)
-        _write_output(text, None)
+            _write_json(metrics, None)
     return 0
 
 
@@ -242,7 +264,7 @@ def _cmd_diagnose(args) -> int:
         except (ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and bytes that are not UTF-8.
             raise ParameterError(f"{args.report}: invalid JSON ({exc})") from None
-    _write_output(canonical_json(rediagnose_report(report)), args.out)
+    _write_json(rediagnose_report(report), args.out)
     return 0
 
 
@@ -299,7 +321,7 @@ def _cmd_fit(args) -> int:
         "domain": [curve.x_min, curve.x_max],
         "n_samples": len(samples),
     }
-    _write_output(canonical_json(payload), args.out)
+    _write_json(payload, args.out)
     return 0
 
 
