@@ -559,58 +559,51 @@ class _TextRows:
         return "".join(pieces)
 
 
-class _Unlisted(Exception):
-    """A value of a type that ``_write`` does not list."""
-
-
 def canonical_json(obj: Any) -> str:
     """Canonical serialization: sorted keys, 2-space indent, trailing newline.
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"``, with a ``_TextRows`` written as the list
-    of scalar lists it stands for.  ``json`` indents with its pure-Python
-    encoder, so this writer walks the kit's own types and joins its pieces
-    once: a dict with str keys key by key, a list or tuple of one exact
-    scalar type in one join, any other list or tuple item by item, and a
-    scalar of exact type (``str``, ``int``, ``float``, ``bool``, ``None``)
-    as ``json`` writes it.  Any other value (a key that is not a str, a
-    subclass, an unknown object) hands the whole document to ``json.dumps``.
-    """
+    of scalar lists it stands for: the join of ``stream_json``'s pieces."""
     chunks: list[str] = []
-    try:
-        stream_json(obj, chunks.append)
-    except _Unlisted:
-        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    stream_json(obj, chunks.append)
     return "".join(chunks)
 
 
 def stream_json(obj: Any, emit: Callable[[str], None]) -> None:
-    """Emit the pieces whose join is ``canonical_json(obj)``, in order; a type
-    that ``_write`` does not list raises _Unlisted, after the pieces before it."""
+    """Emit the pieces whose join is ``canonical_json(obj)``, in order; the walk
+    raises only on a value that ``json.dumps`` rejects, after the pieces before it."""
     _write(obj, "\n", "", emit)
     emit("\n")
 
 
 def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> None:
     """Emit ``head`` and then ``value`` as indented JSON, for a level whose
-    lines start with ``newline``; _Unlisted for a kind it does not write."""
+    lines start with ``newline``.  ``json`` indents with its pure-Python
+    encoder, so this walks the kit's own types itself: a dict with str keys
+    key by key, a list or tuple of one exact scalar type in one join, any
+    other list or tuple item by item, a scalar of exact type (``str``,
+    ``int``, ``float``, ``bool``, ``None``) as ``json`` writes it.  Any other
+    value (a subclass, an unknown object, a dict whose first sorted key is
+    not a str: sorting fails on a str beside any other key) goes to _dump."""
     kind = type(value)
     text = _SCALAR_TEXT.get(kind)
     if text:
         emit(head + text(value))
         return
     if kind not in (dict, list, tuple, _TextRows):
-        raise _Unlisted
+        return _dump(value, newline, head, emit)
     if not value:
         emit(head + ("{}" if kind is dict else "[]"))
         return
     inner = newline + "  "
     separator = "," + inner
     if kind is dict:
+        items = sorted(value.items())
+        if not isinstance(items[0][0], str):
+            return _dump(value, newline, head, emit)
         opener = head + "{" + inner
-        for key, child in sorted(value.items()):
-            if type(key) is not str:
-                raise _Unlisted
+        for key, child in items:
             key = _encode_str(key)
             text = _SCALAR_TEXT.get(type(child))
             if text:
@@ -639,6 +632,13 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
         _write(child, inner, opener, emit)
         opener = separator
     emit(newline + "]")
+
+
+def _dump(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> None:
+    """``_write`` for any value by ``json.dumps``, re-indented to this level:
+    exact, as ``json`` writes a newline only to indent (never in a string)."""
+    text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+    emit(head + text.replace("\n", newline))
 
 
 def _is_index(value: Any, size: int) -> bool:

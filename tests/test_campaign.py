@@ -347,8 +347,8 @@ def test_canonical_json_equals_json_dumps(value):
 # The same comparison for runs of LONG_RUN to LONG_RUN + 8 items, longer
 # than the lists json_trees makes: runs of one exact scalar type, which the
 # writer joins in one call; mixed runs and runs of scalar lists, written item
-# by item; and subclass scalars, non-str keys and unknown objects, which hand
-# the whole document to json.dumps.  The strings look like the brackets,
+# by item; and subclass scalars, non-str keys and unknown objects, each of
+# which the writer hands to json.dumps alone.  The strings look like the brackets,
 # separators and indents of the text around them.
 LONG_RUN = 16
 structural_text = json_text | st.sampled_from(

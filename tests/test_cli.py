@@ -1020,22 +1020,22 @@ def test_every_name_the_tracer_wraps_exists():
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The documents canonical_json hands to json.dumps, one item each."""
+    """The values the JSON writer hands to json.dumps, in order."""
     import chipletbist.campaign as campaign
 
-    counted = []
+    dumped = []
+    dump = campaign._dump
 
-    class Counted(campaign._Unlisted):
-        def __init__(self, *args):
-            counted.append(self)
-            super().__init__(*args)
+    def spy(value, *args):
+        dumped.append(value)
+        dump(value, *args)
 
-    monkeypatch.setattr(campaign, "_Unlisted", Counted)
-    return counted
+    monkeypatch.setattr(campaign, "_dump", spy)
+    return dumped
 
 
 # Every JSON document a command writes; its types must all be ones the
-# writer lists, so that none of them moves onto the json.dumps path.
+# writer lists, so that no part of them takes the slower json.dumps path.
 KIT_DOCUMENTS = {
     "gen-map-hex-blocks": ["gen-map", "--kind", "hexagonal", "--rows", "16", "--cols", "16",
                            "--pitch-um", "20", "--blocks", "4"],
@@ -1096,14 +1096,24 @@ class _Int(int):
 
 
 @pytest.mark.parametrize(
-    "document",
-    [{"counts": {1: 2, 3: [4, 5]}}, {"ids": [_Int(1), 2], "name": "n"}],
-    ids=["int-keys", "int-subclass"],
+    "document, unlisted",
+    [
+        ({"counts": {1: 2, 3: [4, 5]}}, {1: 2, 3: [4, 5]}),
+        ({"ids": [_Int(1), 2], "name": "n"}, _Int(1)),
+        ({"a": [1, 2], "b": {"c": _Int(3)}}, _Int(3)),
+    ],
+    ids=["int-keys", "int-subclass", "after-pieces"],
 )
-def test_an_unlisted_type_takes_the_json_dumps_path(fallbacks, document):
+def test_an_unlisted_type_takes_the_json_dumps_path(fallbacks, document, unlisted):
+    # json.dumps gets the unlisted value alone, where it stands, so a stream
+    # never has to take back the pieces it emitted before it.
+    from chipletbist.campaign import stream_json
+
+    pieces = []
+    stream_json(document, pieces.append)
     want = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    assert canonical_json(document) == want
-    assert len(fallbacks) == 1
+    assert "".join(pieces) == want
+    assert [(type(value), value) for value in fallbacks] == [(type(unlisted), unlisted)]
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -1116,9 +1126,11 @@ def test_text_rows_equal_their_listed_rows_across_batches(tmp_path, width):
     for count in (0, 1, batch - 1, batch, batch + 1, 2 * batch + 1):
         listed = [[k, f"é{k}"][:width] for k in range(count)]
         columns = [[json.dumps(row[i], ensure_ascii=False) for row in listed] for i in range(width)]
-        document = {"rows": _TextRows(*columns), "z": [1]}
+        # An int key and an int subclass beside the rows go to json.dumps.
+        others = {"z": [1], "n": {1: 2}, "i": [_Int(3)]}
+        document = {"rows": _TextRows(*columns), **others}
         want = json.dumps(
-            {"rows": listed, "z": [1]}, sort_keys=True, indent=2, ensure_ascii=False
+            {"rows": listed, **others}, sort_keys=True, indent=2, ensure_ascii=False
         ) + "\n"
         assert canonical_json(document) == want, count
         _write_json(document, str(out_path))

@@ -11,7 +11,7 @@ import pytest
 
 from chipletbist.curves import CurveFamily, _real_roots, fit_severity_curve, load_samples_csv
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)  # absent, or built for another Python
 
 SHIPPED_CSV = Path(__file__).resolve().parents[1] / "configs" / "synthetic_bridge_severity.csv"
 

@@ -2,7 +2,7 @@
 
 Mutated config and report objects, and fuzzed sample CSV files, may only be
 rejected with ParameterError; fuzzed config and report files may only make
-the CLI exit 0, 1 or 2.
+the CLI exit 0, 1 or 2, with a one-line message and no output file on 1 or 2.
 Map sides stay at most 12, so no example builds a large map; larger sides
 are drawn only beyond the bump cap, where the lattice is rejected before
 anything is allocated.  Examples are derandomized so the suite is
@@ -157,12 +157,25 @@ def fuzzed_bytes(draw, bases):
 
 
 def _run_cli_on_file(tmp_path_factory, argv_prefix, data: bytes) -> int:
+    """Run the CLI on ``data`` with ``--out``; a failure leaves one stderr
+    line and no ``--out`` file, a success no stderr and a JSON ``--out``."""
     work = tmp_path_factory.mktemp("fuzz")
-    path = work / "input"
+    path, out = work / "input", work / "out"
     path.write_bytes(data)
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        return main([*argv_prefix, str(path), "--out", str(work / "out")])
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = main([*argv_prefix, str(path), "--out", str(out)])
+    errors = stderr.getvalue()
+    assert "Traceback" not in errors, errors
+    if status == 0:
+        assert errors == ""
+        json.loads(out.read_bytes())
+    else:
+        assert errors.startswith(("error: ", "simulation error: ")), errors
+        assert errors.count("\n") == 1 and errors.endswith("\n"), errors
+        assert not out.exists()
+    return status
 
 
 CONFIG_BYTES = [json.dumps(c).encode("utf-8") for c in CONFIGS]
