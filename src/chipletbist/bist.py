@@ -10,12 +10,12 @@ word from every other failure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .bumpmap import BumpMap, Color, block_sizes
 from .errors import ParameterError, SimulationError
+from .record import Record
 
 
 class Pattern3(NamedTuple):
@@ -94,8 +94,7 @@ class BridgeBehavior(Enum):
     WIRED_OR = "wired-or"
 
 
-@dataclass(frozen=True)
-class StuckAt:
+class StuckAt(Record):
     net: int
     value: int
 
@@ -106,8 +105,7 @@ class StuckAt:
             raise ParameterError(f"stuck-at value must be 0 or 1, got {self.value}")
 
 
-@dataclass(frozen=True)
-class Bridge:
+class Bridge(Record):
     a: int
     b: int
     behavior: BridgeBehavior
@@ -141,8 +139,7 @@ class ScheduleStep(NamedTuple):
     block_en: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TestSchedule:
+class TestSchedule(Record):
     block_count: int
     steps: tuple[ScheduleStep, ...]
 
@@ -258,8 +255,7 @@ def resolve_net_values(
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class BlockTestReport:
+class BlockTestReport(Record):
     """Per-bump detector responses for one tested block.
 
     ``received`` keeps the raw 3-bit words as a diagnostic aid; it may be
@@ -289,8 +285,7 @@ def run_block_test(bump_map: BumpMap, faults: Iterable[Fault]) -> list[BlockTest
     return reports
 
 
-@dataclass(frozen=True)
-class OverheadReport:
+class OverheadReport(Record):
     detector_count: int
     tpg_count: int
     mux_count: int

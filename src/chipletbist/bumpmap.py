@@ -24,13 +24,13 @@ import sys
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, repeat, starmap
 from operator import add
 
 from .errors import ColoringError, ParameterError
+from .record import Record
 
 # Times pitch.  Captures the two close-packed rings of a hexagonal lattice
 # (neighbor distances pitch and sqrt(3)*pitch, 12 bumps) while excluding the
@@ -65,8 +65,7 @@ COLOR_ORDER = (Color.GREEN, Color.BLUE, Color.RED, Color.BLACK)
 COLOR_INDEX = {color: i for i, color in enumerate(COLOR_ORDER)}
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     kind: LatticeKind
     rows: int
     cols: int
@@ -98,14 +97,15 @@ class Lattice:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class BumpMap:
+class BumpMap(Record):
     """A lattice plus (once assigned) codeword coloring and block split.
 
     Bump ids are dense, 0..rows*cols-1, in row-major order.  ``coloring`` and
     ``blocks`` are tuples indexed by bump id; they are None until
     :func:`assign_codewords` / :func:`partition_blocks` produce them.
     """
+
+    __slots__ = ("__dict__",)  # where ``positions`` is kept
 
     lattice: Lattice
     coloring: tuple[Color, ...] | None = None
@@ -456,7 +456,7 @@ def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:
                 "tiling is not proper on this graph"
             )
         coloring = tiling
-    return replace(bump_map, coloring=coloring)
+    return BumpMap(bump_map.lattice, coloring, bump_map.blocks, bump_map.block_count)
 
 
 def partition_blocks(bump_map: BumpMap, block_count: int) -> BumpMap:
@@ -479,7 +479,7 @@ def partition_blocks(bump_map: BumpMap, block_count: int) -> BumpMap:
         width = base + (1 if k < extra else 0)
         col_to_block.extend([k] * width)
     blocks = tuple(col_to_block) * bump_map.lattice.rows
-    return replace(bump_map, blocks=blocks, block_count=block_count)
+    return BumpMap(bump_map.lattice, bump_map.coloring, blocks, block_count)
 
 
 def block_sizes(bump_map: BumpMap) -> list[int]:

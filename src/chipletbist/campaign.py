@@ -14,7 +14,6 @@ import json
 import math
 import random
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -52,6 +51,7 @@ from .diagnosis import (
     diagnose,
 )
 from .errors import ParameterError
+from .record import Record
 
 SCHEMA_VERSION = 1
 
@@ -62,8 +62,7 @@ DEFAULT_KIND_MIX = {"sa": 0.5, "bridge": 0.5}
 DEFAULT_BEHAVIOR_MIX = {behavior.value: 0.5 for behavior in BridgeBehavior}
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Record):
     kind: LatticeKind
     rows: int
     cols: int
@@ -71,17 +70,22 @@ class MapSpec:
     short_radius_factor: float = DEFAULT_SHORT_RADIUS_FACTOR
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
+class SamplerSpec(Record):
     n_faults: int
     seed: int
-    kind_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_KIND_MIX))
-    behavior_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_BEHAVIOR_MIX))
+    kind_mix: dict[str, float] = DEFAULT_KIND_MIX
+    behavior_mix: dict[str, float] = DEFAULT_BEHAVIOR_MIX
     include_inter_block: bool = True
 
+    def __post_init__(self) -> None:
+        # Each spec holds its own mixes, never the shared default dicts.
+        if self.kind_mix is DEFAULT_KIND_MIX:
+            object.__setattr__(self, "kind_mix", dict(DEFAULT_KIND_MIX))
+        if self.behavior_mix is DEFAULT_BEHAVIOR_MIX:
+            object.__setattr__(self, "behavior_mix", dict(DEFAULT_BEHAVIOR_MIX))
 
-@dataclass(frozen=True)
-class CampaignConfig:
+
+class CampaignConfig(Record):
     map_spec: MapSpec
     block_count: int
     faults: tuple[Fault, ...] | None = None
@@ -474,6 +478,7 @@ def run_campaign(config: CampaignConfig) -> dict:
     dictionary = build_fault_dictionary()
     numerator, denominator = diagnosability_ratio(dictionary)
     fault_results = [_fault_result(fault, bump_map, graph) for fault in faults]
+    overhead = overhead_report(bump_map)
 
     detected = sum(result["detected"] for result in fault_results)
     escapes = [result["fault"] for result in fault_results if not result["detected"]]
@@ -486,7 +491,7 @@ def run_campaign(config: CampaignConfig) -> dict:
         "version": SCHEMA_VERSION,
         "config": config_to_dict(config),
         "map": _map_section(bump_map, graph),
-        "overhead": asdict(overhead_report(bump_map)),
+        "overhead": {name: getattr(overhead, name) for name in overhead._fields},
         "diagnosability": {
             "numerator": numerator,
             "denominator": denominator,

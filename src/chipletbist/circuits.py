@@ -10,14 +10,13 @@ card deck with a fixed byte-stable number format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .defects import ComponentKind, PhysicalDefect, nominal_parasitics
 from .errors import ParameterError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CircuitElement:
+class CircuitElement(Record):
     kind: str  # "R" or "C"
     name: str  # designator suffix; "R" + name / "C" + name must be unique
     node_a: str
@@ -38,8 +37,7 @@ class CircuitElement:
         return f"{self.kind}{self.name}"
 
 
-@dataclass(frozen=True)
-class EquivalentCircuit:
+class EquivalentCircuit(Record):
     elements: tuple[CircuitElement, ...]
 
     def __post_init__(self) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from itertools import chain, repeat
 from operator import attrgetter
 
@@ -21,6 +20,7 @@ from .campaign import (
     SCHEMA_VERSION,
     CampaignConfig,
     MapSpec,
+    SamplerSpec,
     _TextRows,
     build_campaign_map,
     load_config,
@@ -236,7 +236,13 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         if config.sampler is None:
             raise ParameterError("--seed override requires a sampler-based config")
-        config = replace(config, sampler=replace(config.sampler, seed=args.seed))
+        old = config.sampler
+        sampler = SamplerSpec(
+            old.n_faults, args.seed, old.kind_mix, old.behavior_mix, old.include_inter_block
+        )
+        config = CampaignConfig(
+            config.map_spec, config.block_count, config.faults, sampler, config.output_report
+        )
     out = args.out or config.output_report
     if args.format == "csv" and out is None:
         raise ParameterError("--format csv needs --out or output.report in the config")

@@ -17,12 +17,12 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import FitError, InversionError, ParameterError
 from .kinds import MAX_POLYNOMIAL_DEGREE, CurveFamily
+from .record import Record
 
 BISECTION_MAX_ITERATIONS = 200
 
@@ -30,8 +30,7 @@ _NON_FINITE = "degenerate samples: fit produced non-finite coefficients"
 _SINGULAR = "degenerate samples: normal equations are singular (Singular matrix)"
 
 
-@dataclass(frozen=True)
-class SeverityCurve:
+class SeverityCurve(Record):
     """A fitted curve, valid only on its domain [x_min, x_max].
 
     Polynomial coefficients are ascending (c0 + c1*x + c2*x^2 + ...);

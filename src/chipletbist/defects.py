@@ -11,11 +11,11 @@ the shared vocabulary module ``chipletbist.kinds`` and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
 from .kinds import ComponentKind, ElectricalScenario, PhysicalDefect
+from .record import Record
 
 CU_PILLAR_DIAMETER_UM = 20.0
 CU_PILLAR_HEIGHT_UM = 20.0
@@ -27,8 +27,7 @@ RDL_RESISTANCE_OHM_PER_UM = 4.31e-3
 RDL_MUTUAL_CAPACITANCE_F_PER_UM = 0.092e-15
 
 
-@dataclass(frozen=True)
-class NominalParasitics:
+class NominalParasitics(Record):
     resistance_ohm: float
     self_capacitance_f: float
     mutual_capacitance_f: float
@@ -97,8 +96,7 @@ class MagnitudeKind(Enum):
     CAPACITANCE = "capacitance"
 
 
-@dataclass(frozen=True)
-class FaultMagnitude:
+class FaultMagnitude(Record):
     """Extracted electrical magnitude of a defect: R_f in ohm or C_f in farad."""
 
     kind: MagnitudeKind

@@ -15,7 +15,6 @@ over a smaller universe leaves responses unmodeled.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd
 from typing import TYPE_CHECKING
@@ -38,19 +37,18 @@ from .bumpmap import (
     LatticeKind,
 )
 from .errors import ParameterError
+from .record import Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class QuadStuckAt:
+class QuadStuckAt(Record):
     color: Color
     value: int
 
 
-@dataclass(frozen=True)
-class QuadBridge:
+class QuadBridge(Record):
     color_a: Color
     color_b: Color  # ordered by color index, color_a before color_b
 
@@ -80,8 +78,7 @@ def _signature_of(report: BlockTestReport) -> Signature:
     return tuple(report.responses[i] for i in range(4))  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class FaultDictionary:
+class FaultDictionary(Record):
     """Signature -> candidate faults, with ambiguity accounting.
 
     ``signatures_of`` is the one stored table: each fault's realizations,
@@ -90,6 +87,8 @@ class FaultDictionary:
     pairs and the response table are read-only views derived from it, so
     they cannot disagree.
     """
+
+    __slots__ = ("__dict__",)  # where the derived views are kept
 
     signatures_of: dict[QuadFault, tuple[Signature, ...]]
 
@@ -177,8 +176,7 @@ def diagnosability(dictionary: FaultDictionary) -> tuple[Fraction, float]:
     return Fraction(numerator, denominator), numerator / denominator
 
 
-@dataclass(frozen=True)
-class BridgeCandidate:
+class BridgeCandidate(Record):
     """A bridge hypothesis between two bumps; wired behavior is folded away."""
 
     a: int
@@ -192,8 +190,7 @@ class BridgeCandidate:
 Candidate = StuckAt | BridgeCandidate
 
 
-@dataclass(frozen=True)
-class BumpDiagnosis:
+class BumpDiagnosis(Record):
     """Candidate faults consistent with one failing bump's response."""
 
     bump: int

@@ -9,8 +9,6 @@ first use, so diagnosing loads neither the curves nor the defects module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bist import Bridge, StuckAt
 from .curves import SeverityCurve, eval_severity, invert_severity, is_strictly_monotone
 from .defects import (
@@ -22,10 +20,10 @@ from .defects import (
 )
 from .diagnosis import BridgeCandidate, Candidate
 from .errors import InversionError, ParameterError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class MagnitudeBound:
+class MagnitudeBound(Record):
     """Open interval on the defect magnitude; None means unbounded on that side."""
 
     kind: MagnitudeKind
@@ -33,14 +31,12 @@ class MagnitudeBound:
     upper: float | None
 
 
-@dataclass(frozen=True)
-class GeometryBound:
+class GeometryBound(Record):
     lower: float | None
     upper: float | None
 
 
-@dataclass(frozen=True)
-class DefectRangeEstimate:
+class DefectRangeEstimate(Record):
     functional_class: FunctionalFaultClass
     magnitude_bound: MagnitudeBound
     geometry_bound: GeometryBound | None

@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -26,6 +25,7 @@ from chipletbist.bist import (
 )
 from chipletbist.bumpmap import (
     COLOR_ORDER,
+    BumpMap,
     Color,
     DEFAULT_SHORT_RADIUS_FACTOR,
     Lattice,
@@ -79,9 +79,7 @@ def criterion(number, description):
 
 def quad_map():
     lattice = Lattice(LatticeKind.RECTANGULAR, 1, 4, 20.0)
-    return replace(
-        build_bump_map(lattice), coloring=COLOR_ORDER, blocks=(0,) * 4, block_count=1
-    )
+    return BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0,) * 4, block_count=1)
 
 
 def test_criterion_01_detector_truth_table():

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,7 @@ from chipletbist.bist import (
     run_block_test,
 )
 from chipletbist.bumpmap import (
+    BumpMap,
     Color,
     COLOR_ORDER,
     Lattice,
@@ -48,12 +48,7 @@ def word(s):
 def quad_map():
     """One bump per color, one block, used as the canonical GUT."""
     lattice = Lattice(LatticeKind.RECTANGULAR, 1, 4, 20.0)
-    return replace(
-        build_bump_map(lattice),
-        coloring=COLOR_ORDER,
-        blocks=(0, 0, 0, 0),
-        block_count=1,
-    )
+    return BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0, 0, 0, 0), block_count=1)
 
 
 def test_codeword_table():

@@ -1,6 +1,5 @@
 """Tests for lattice geometry, adjacency, coloring, and block partitioning."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -105,9 +104,7 @@ def test_positions_follow_the_per_bump_formula(kind, rows, pitch):
 def test_a_map_is_its_lattice_and_the_decisions_made_on_it():
     lattice = hex_lattice(3, 4)
     bump_map = build_bump_map(lattice)
-    assert [f.name for f in dataclasses.fields(BumpMap)] == [
-        "lattice", "coloring", "blocks", "block_count",
-    ]
+    assert BumpMap._fields == ("lattice", "coloring", "blocks", "block_count")
     assert bump_map == BumpMap(lattice)
     assert bump_map.bump_count == 12
     # Computed on first read and kept.

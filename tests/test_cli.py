@@ -903,6 +903,9 @@ def test_cli_import_leaves_logging_unloaded():
 
 
 LEAN = {"chipletbist.circuits", "chipletbist.curves", "chipletbist.defects", "chipletbist.ranges"}
+# The kit's records are plain classes: no command loads the dataclass machinery
+# (beyond what the interpreter's own start-up, such as a site .pth file, loads).
+MACHINERY = {"dataclasses", "inspect"}
 
 
 def test_commands_load_only_what_they_run(tmp_path):
@@ -920,12 +923,14 @@ def test_commands_load_only_what_they_run(tmp_path):
         "simulate": main_exits_0("simulate", "--config", config, "--out", report),
         "diagnose": main_exits_0("diagnose", "--report", report, "--out", str(tmp_path / "d.json")),
     }
+    machinery = MACHINERY - modules_after("pass")
     bare = modules_after("import chipletbist")
     assert not {m for m in bare if m.startswith("chipletbist.")}
     assert "fractions" not in bare
     for name, code in lean.items():
         loaded = modules_after(code, cwd=tmp_path)
         assert not loaded & LEAN, name
+        assert not loaded & machinery, name
         assert name == "dictionary" or "fractions" not in loaded, name
         assert "chipletbist.cli" in loaded, name
     # The other three commands still run, each loading its own modules.
@@ -946,7 +951,9 @@ def test_commands_load_only_what_they_run(tmp_path):
         ),
     }
     for name, (code, own) in others.items():
-        assert modules_after(code, cwd=tmp_path) & LEAN == own, name
+        loaded = modules_after(code, cwd=tmp_path)
+        assert loaded & LEAN == own, name
+        assert not loaded & machinery, name
 
 
 def test_submodules_resolve_after_a_bare_import():

@@ -1,9 +1,7 @@
 """Tests for the fault dictionary, diagnosability, matching, and defect ranges."""
 
-import dataclasses
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +16,7 @@ from chipletbist.bist import (
 )
 from chipletbist.bumpmap import (
     AdjacencyGraph,
+    BumpMap,
     COLOR_INDEX,
     COLOR_ORDER,
     Color,
@@ -53,9 +52,7 @@ G, B, R, K = COLOR_ORDER
 
 def quad_fixture():
     lattice = Lattice(LatticeKind.RECTANGULAR, 1, 4, 20.0)
-    bump_map = replace(
-        build_bump_map(lattice), coloring=COLOR_ORDER, blocks=(0,) * 4, block_count=1
-    )
+    bump_map = BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0,) * 4, block_count=1)
     graph = AdjacencyGraph([(a, b) for a in range(4) for b in range(a + 1, 4)])
     return bump_map, graph
 
@@ -147,7 +144,7 @@ def test_diagnosability_extremes():
 
 def test_dictionary_views_follow_its_one_table():
     dictionary = build_fault_dictionary()
-    assert [f.name for f in dataclasses.fields(FaultDictionary)] == ["signatures_of"]
+    assert FaultDictionary._fields == ("signatures_of",)
     # The even-index half keeps one ambiguous pair: K sa-0 and the B+K bridge.
     half = FaultDictionary({f: dictionary.signatures_of[f] for f in dictionary.universe[::2]})
     assert half.universe == dictionary.universe[::2]

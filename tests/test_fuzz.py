@@ -3,6 +3,9 @@
 Mutated config and report objects, and fuzzed sample CSV files, may only be
 rejected with ParameterError; fuzzed config and report files may only make
 the CLI exit 0, 1 or 2, with a one-line message and no output file on 1 or 2.
+Byte-level fuzzing mostly breaks the JSON itself; value-level fuzzing keeps
+the document and changes one value in it, so most of its inputs parse and
+many run to the end, through the fault and map checks and the streamed output.
 Map sides stay at most 12, so no example builds a large map; larger sides
 are drawn only beyond the bump cap, where the lattice is rejected before
 anything is allocated.  Examples are derandomized so the suite is
@@ -191,6 +194,66 @@ def test_simulate_on_fuzzed_config_exits_0_1_or_2(tmp_path_factory, data):
 @settings(FUZZ, max_examples=150)
 @given(data=fuzzed_bytes(REPORT_BYTES))
 def test_diagnose_on_fuzzed_report_exits_0_1_or_2(tmp_path_factory, data):
+    assert _run_cli_on_file(tmp_path_factory, ["diagnose", "--report"], data) in (0, 1, 2)
+
+
+def _leaf_paths(node, path=()):
+    """The path of every scalar inside ``node``, in document order."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaf_paths(node[key], (*path, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, (*path, i))
+    else:
+        yield path
+
+
+WORDS = ["hexagonal", "rectangular", "sa0", "sa1", "bridge", "wired-and", "wired-or", "x"]
+
+
+def _near(draw, value):
+    """A value of ``value``'s own kind near it: an int within 1, a float within 2x."""
+    if isinstance(value, bool):
+        return draw(st.booleans())
+    if isinstance(value, int):
+        return draw(st.integers(value - 1, value + 1))
+    if isinstance(value, float):
+        return value * draw(st.floats(0.5, 2.0))
+    if isinstance(value, str):
+        return draw(st.sampled_from(WORDS))
+    return draw(json_leaves)
+
+
+def _in_report_input(path) -> bool:
+    # The config, the map summary and the failing lists are what `diagnose` reads.
+    return path[0] in ("config", "map") or "failing" in path
+
+
+@st.composite
+def revalued_bytes(draw, bases, where=lambda path: True):
+    """A base document, one of whose scalars ``where`` selects changed, serialized again."""
+    obj = copy.deepcopy(draw(st.sampled_from(bases)))
+    *parents, key = draw(st.sampled_from([p for p in _leaf_paths(obj) if where(p)]))
+    node = obj
+    for step in parents:
+        node = node[step]
+    # One change in four is any JSON scalar; the rest stay near the old value.
+    node[key] = draw(json_leaves) if draw(st.integers(0, 3)) == 0 else _near(draw, node[key])
+    data = json.dumps(obj).encode("utf-8")
+    assume(_map_sides_at_most_12(data))
+    return data
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=revalued_bytes(CONFIGS))
+def test_simulate_on_revalued_config_exits_0_1_or_2(tmp_path_factory, data):
+    assert _run_cli_on_file(tmp_path_factory, ["simulate", "--config"], data) in (0, 1, 2)
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=revalued_bytes(REPORTS, _in_report_input))
+def test_diagnose_on_revalued_report_exits_0_1_or_2(tmp_path_factory, data):
     assert _run_cli_on_file(tmp_path_factory, ["diagnose", "--report"], data) in (0, 1, 2)
 
 
