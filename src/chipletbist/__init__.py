@@ -32,9 +32,9 @@ _EXPORTS = {
     "BumpMap": "bumpmap",
     "COLOR_ORDER": "bumpmap",
     "Color": "bumpmap",
-    "DEFAULT_SHORT_RADIUS_FACTOR": "bumpmap",
+    "DEFAULT_SHORT_RADIUS_FACTOR": "kinds",
     "Lattice": "bumpmap",
-    "LatticeKind": "bumpmap",
+    "LatticeKind": "kinds",
     "assign_codewords": "bumpmap",
     "build_bump_map": "bumpmap",
     "partition_blocks": "bumpmap",
@@ -42,7 +42,7 @@ _EXPORTS = {
     "CampaignConfig": "campaign",
     "MapSpec": "campaign",
     "SamplerSpec": "campaign",
-    "canonical_json": "campaign",
+    "canonical_json": "canonical",
     "load_config": "campaign",
     "parse_config": "campaign",
     "run_campaign": "campaign",

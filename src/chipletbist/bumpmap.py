@@ -30,21 +30,12 @@ from itertools import accumulate, chain, repeat, starmap
 from operator import add
 
 from .errors import ColoringError, ParameterError
+from .kinds import DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind  # noqa: F401  re-exported by name
 from .record import Record
-
-# Times pitch.  Captures the two close-packed rings of a hexagonal lattice
-# (neighbor distances pitch and sqrt(3)*pitch, 12 bumps) while excluding the
-# 2*pitch ring; any factor in [sqrt(3), 2) yields the same 12-neighborhood.
-DEFAULT_SHORT_RADIUS_FACTOR = 1.9
 
 # Largest lattice (rows * cols) accepted, checked before anything allocates;
 # a typo such as 100000x100000 would otherwise exhaust memory.
 MAX_BUMPS = 512 * 512
-
-
-class LatticeKind(Enum):
-    HEXAGONAL = "hexagonal"
-    RECTANGULAR = "rectangular"
 
 
 # Rows in one period of the 4-color tiling, which the greedy coloring of a

@@ -10,72 +10,57 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from itertools import chain, repeat
 from operator import attrgetter
 
 from . import __version__
-from .bist import BridgeBehavior
-from .bumpmap import COLOR_ORDER, DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind, lattice_coordinates
-from .campaign import (
-    SCHEMA_VERSION,
-    CampaignConfig,
-    MapSpec,
-    SamplerSpec,
-    _TextRows,
-    build_campaign_map,
-    load_config,
-    rediagnose_report,
-    reject_duplicate_keys,
-    run_campaign,
-    stream_json,
-)
-from .diagnosis import QuadStuckAt, build_fault_dictionary, diagnosability_ratio
+from .canonical import SCHEMA_VERSION, _TextRows, stream_json
 from .errors import KitError, ParameterError, SimulationError
 from .kinds import (
+    DEFAULT_SHORT_RADIUS_FACTOR,
     MAX_POLYNOMIAL_DEGREE,
     ComponentKind,
     CurveFamily,
     ElectricalScenario,
+    LatticeKind,
     PhysicalDefect,
 )
 
-# The tracer's hook: perfbench/tracer.py times layers by wrapping these nine
-# names on this module, and all nine go once the program traces itself.  The
-# four bumpmap imports and canonical_json are unused here: the commands stream
-# their documents.  The four functions forward to circuits, curves and
-# defects, which load when a command first calls one, so the other commands
-# never import those modules.
-from .bumpmap import (  # noqa: F401
-    assign_codewords,
-    build_bump_map,
-    partition_blocks,
-    potential_short_graph,
-)
-from .campaign import canonical_json  # noqa: F401
+# The tracer's hook: perfbench/tracer.py times layers by wrapping these 13
+# names on this module, and the table goes once the program traces itself.
+# Each name is a forwarder to the function of that name in its module, which
+# is imported on the forwarder's first call, so that a command loads only the
+# modules it runs.  The commands call them as this module's globals, so a
+# wrapper set here fires.  The four bumpmap names and canonical_json are
+# never called here: gen-map goes through campaign, and the commands stream
+# their documents.
+_FORWARDED = {
+    "assign_codewords": "bumpmap",
+    "build_bump_map": "bumpmap",
+    "partition_blocks": "bumpmap",
+    "potential_short_graph": "bumpmap",
+    "build_fault_dictionary": "diagnosis",
+    "canonical_json": "canonical",
+    "load_config": "campaign",
+    "rediagnose_report": "campaign",
+    "run_campaign": "campaign",
+    "classify_defect": "defects",
+    "emit_netlist": "circuits",
+    "fit_severity_curve": "curves",
+    "load_samples_csv": "curves",
+}
 
 
-def classify_defect(scenario, magnitude):
-    from .defects import classify_defect
+def _forwarder(name: str, module: str):
+    def forward(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
 
-    return classify_defect(scenario, magnitude)
-
-
-def emit_netlist(circuit, title):
-    from .circuits import emit_netlist
-
-    return emit_netlist(circuit, title)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
 
 
-def fit_severity_curve(samples, family, degree):
-    from .curves import fit_severity_curve
-
-    return fit_severity_curve(samples, family, degree=degree)
-
-
-def load_samples_csv(path):
-    from .curves import load_samples_csv
-
-    return load_samples_csv(path)
+globals().update({name: _forwarder(name, module) for name, module in _FORWARDED.items()})
 
 
 class _UsageError(Exception):
@@ -130,6 +115,8 @@ def _stream(walk, out: str | None) -> None:
 
 
 def _cmd_gen_map(args) -> int:
+    from .campaign import CampaignConfig, MapSpec, build_campaign_map
+
     spec = MapSpec(LatticeKind(args.kind), args.rows, args.cols, args.pitch_um, args.radius_factor)
     bump_map, graph = build_campaign_map(CampaignConfig(spec, args.blocks))
     lattice = bump_map.lattice
@@ -154,6 +141,8 @@ def _cmd_gen_map(args) -> int:
 
 def _position_rows(lattice) -> _TextRows:
     """The positions' texts: rows of one parity share their x, and a row its y."""
+    from .bumpmap import lattice_coordinates
+
     xs, odd_xs, ys = lattice_coordinates(lattice)
     row_pair = [*map(float.__repr__, xs), *map(float.__repr__, odd_xs)]
     whole, part = divmod(lattice.bump_count, len(row_pair))
@@ -174,12 +163,18 @@ def _edge_rows(graph, bump_count: int) -> _TextRows:
 
 
 def _quad_fault_name(fault) -> str:
+    from .diagnosis import QuadStuckAt
+
     if isinstance(fault, QuadStuckAt):
         return f"{fault.color.value} sa-{fault.value}"
     return f"{fault.color_a.value}+{fault.color_b.value} bridge"
 
 
 def _cmd_dictionary(args) -> int:
+    from .bist import BridgeBehavior
+    from .bumpmap import COLOR_ORDER
+    from .diagnosis import diagnosability_ratio
+
     dictionary = build_fault_dictionary()
     numerator, denominator = diagnosability_ratio(dictionary)
     pairs = sorted(
@@ -232,6 +227,8 @@ def _cmd_dictionary(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .campaign import CampaignConfig, SamplerSpec
+
     config = load_config(args.config)
     if args.seed is not None:
         if config.sampler is None:
@@ -264,6 +261,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .campaign import reject_duplicate_keys
+
     with open(args.report, encoding="utf-8") as handle:
         try:
             report = json.load(handle, object_pairs_hook=reject_duplicate_keys)

@@ -1,15 +1,26 @@
-"""Shared vocabulary of the defect and curve modules.
+"""Shared vocabulary of the bump-map, defect and curve modules.
 
-The component kinds, physical defect kinds, electrical scenarios, curve
-families and the polynomial degree cap are defined here once.  ``defects``
-and ``curves`` re-export them, and the CLI builds its parser's choices from
-them, so a command that never classifies, fits or emits a netlist does not
-load those modules.  Standard library only.
+The lattice kinds, the default short radius, the component kinds, physical
+defect kinds, electrical scenarios, curve families and the polynomial degree
+cap are defined here once.  ``bumpmap``, ``defects`` and ``curves``
+re-export them, and the CLI builds its parser's choices and defaults from
+them, so a command loads none of those modules before it runs.  Standard
+library only.
 """
 
 from enum import Enum
 
+# Times pitch.  Captures the two close-packed rings of a hexagonal lattice
+# (neighbor distances pitch and sqrt(3)*pitch, 12 bumps) while excluding the
+# 2*pitch ring; any factor in [sqrt(3), 2) yields the same 12-neighborhood.
+DEFAULT_SHORT_RADIUS_FACTOR = 1.9
+
 MAX_POLYNOMIAL_DEGREE = 3
+
+
+class LatticeKind(Enum):
+    HEXAGONAL = "hexagonal"
+    RECTANGULAR = "rectangular"
 
 
 class ComponentKind(Enum):

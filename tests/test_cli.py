@@ -906,21 +906,44 @@ LEAN = {"chipletbist.circuits", "chipletbist.curves", "chipletbist.defects", "ch
 # The kit's records are plain classes: no command loads the dataclass machinery
 # (beyond what the interpreter's own start-up, such as a site .pth file, loads).
 MACHINERY = {"dataclasses", "inspect"}
+# The BIST stack: the detector, the fault dictionary, the bump map and campaigns.
+STACK = {"chipletbist.bist", "chipletbist.bumpmap", "chipletbist.campaign", "chipletbist.diagnosis"}
+
+
+def parser_exits_0(flag: str) -> str:
+    return (
+        "from chipletbist.cli import main\n"
+        f"try:\n    main([{flag!r}])\n"
+        "except SystemExit as exit:\n    assert exit.code == 0, exit.code\n"
+        "else:\n    raise AssertionError('no exit')"
+    )
 
 
 def test_commands_load_only_what_they_run(tmp_path):
     # The BIST and diagnosis commands never load the netlist, severity-curve
     # or classifier modules; fractions loads for nothing but `dictionary`.
+    # Each runs in a fresh interpreter, where a missing import would fail it.
     report = str(tmp_path / "report.json")
     config = str(REPO / "configs" / "campaign_16x16_hex.json")
     lean = {
         "import chipletbist.cli": "import chipletbist.cli",
+        "--version": parser_exits_0("--version"),
+        "--help": parser_exits_0("--help"),
         "gen-map": main_exits_0(
             "gen-map", "--kind", "hexagonal", "--rows", "4", "--cols", "4",
             "--pitch-um", "20", "--out", str(tmp_path / "map.json"),
         ),
         "dictionary": main_exits_0("dictionary", "--out", str(tmp_path / "dictionary.txt")),
+        "dictionary --format json": main_exits_0(
+            "dictionary", "--format", "json", "--out", str(tmp_path / "dictionary.json")
+        ),
+        "dictionary --format csv": main_exits_0(
+            "dictionary", "--format", "csv", "--out", str(tmp_path / "dictionary.csv")
+        ),
         "simulate": main_exits_0("simulate", "--config", config, "--out", report),
+        "simulate --format csv": main_exits_0(
+            "simulate", "--config", config, "--format", "csv", "--out", str(tmp_path / "r.json")
+        ),
         "diagnose": main_exits_0("diagnose", "--report", report, "--out", str(tmp_path / "d.json")),
     }
     machinery = MACHINERY - modules_after("pass")
@@ -931,9 +954,16 @@ def test_commands_load_only_what_they_run(tmp_path):
         loaded = modules_after(code, cwd=tmp_path)
         assert not loaded & LEAN, name
         assert not loaded & machinery, name
-        assert name == "dictionary" or "fractions" not in loaded, name
+        assert name.startswith("dictionary") or "fractions" not in loaded, name
         assert "chipletbist.cli" in loaded, name
-    # The other three commands still run, each loading its own modules.
+        # Nothing of the stack loads before a command runs; the dictionary
+        # needs no campaign.
+        if name in ("import chipletbist.cli", "--version", "--help"):
+            assert not loaded & STACK, name
+        assert not name.startswith("dictionary") or "chipletbist.campaign" not in loaded, name
+    # The other three commands still run, each loading its own modules and
+    # nothing of the stack.
+    csv_path = str(REPO / "configs" / "synthetic_bridge_severity.csv")
     others = {
         "netlist": (
             main_exits_0("netlist", "--component", "rdl", "--length-um", "5",
@@ -941,8 +971,11 @@ def test_commands_load_only_what_they_run(tmp_path):
             {"chipletbist.circuits", "chipletbist.defects"},
         ),
         "fit": (
-            main_exits_0("fit", "--csv", str(REPO / "configs" / "synthetic_bridge_severity.csv"),
-                         "--family", "polynomial", "--out", str(tmp_path / "fit.json")),
+            "\n".join(
+                main_exits_0("fit", "--csv", csv_path, "--family", family,
+                             "--out", str(tmp_path / f"fit-{family}.json"))
+                for family in ("log-linear", "exponential", "polynomial")
+            ),
             {"chipletbist.curves"},
         ),
         "classify": (
@@ -954,6 +987,7 @@ def test_commands_load_only_what_they_run(tmp_path):
         loaded = modules_after(code, cwd=tmp_path)
         assert loaded & LEAN == own, name
         assert not loaded & machinery, name
+        assert not loaded & STACK, name
 
 
 def test_submodules_resolve_after_a_bare_import():
@@ -1028,16 +1062,16 @@ def test_every_name_the_tracer_wraps_exists():
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The values the JSON writer hands to json.dumps, in order."""
-    import chipletbist.campaign as campaign
+    import chipletbist.canonical as canonical
 
     dumped = []
-    dump = campaign._dump
+    dump = canonical._dump
 
     def spy(value, *args):
         dumped.append(value)
         dump(value, *args)
 
-    monkeypatch.setattr(campaign, "_dump", spy)
+    monkeypatch.setattr(canonical, "_dump", spy)
     return dumped
 
 
@@ -1114,7 +1148,7 @@ class _Int(int):
 def test_an_unlisted_type_takes_the_json_dumps_path(fallbacks, document, unlisted):
     # json.dumps gets the unlisted value alone, where it stands, so a stream
     # never has to take back the pieces it emitted before it.
-    from chipletbist.campaign import stream_json
+    from chipletbist.canonical import stream_json
 
     pieces = []
     stream_json(document, pieces.append)
@@ -1125,7 +1159,7 @@ def test_an_unlisted_type_takes_the_json_dumps_path(fallbacks, document, unliste
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_text_rows_equal_their_listed_rows_across_batches(tmp_path, width):
-    from chipletbist.campaign import _BATCH_ROWS, _TextRows
+    from chipletbist.canonical import _BATCH_ROWS, _TextRows
     from chipletbist.cli import _write_json
 
     batch = _BATCH_ROWS

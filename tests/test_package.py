@@ -3,13 +3,16 @@
 import contextlib
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import chipletbist
-from chipletbist import curves, defects, kinds
+from chipletbist import bumpmap, curves, defects, kinds
 
 # The public names by the module that first exported them, in export order.
 EXPORTS = {
@@ -83,6 +86,27 @@ def test_shared_vocabulary_is_defined_once():
     assert defects.ElectricalScenario is kinds.ElectricalScenario
     assert curves.CurveFamily is kinds.CurveFamily
     assert curves.MAX_POLYNOMIAL_DEGREE == kinds.MAX_POLYNOMIAL_DEGREE
+    assert bumpmap.LatticeKind is kinds.LatticeKind
+    assert bumpmap.DEFAULT_SHORT_RADIUS_FACTOR == kinds.DEFAULT_SHORT_RADIUS_FACTOR
+
+
+def test_vocabulary_and_writer_load_only_their_own_modules():
+    # The lattice kinds come from kinds and the writer from canonical, so
+    # reading them from the package loads no bump map and no campaign.
+    code = (
+        "import sys, chipletbist\n"
+        "chipletbist.LatticeKind, chipletbist.DEFAULT_SHORT_RADIUS_FACTOR\n"
+        "chipletbist.canonical_json\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('chipletbist.')))"
+    )
+    src = str(Path(chipletbist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["chipletbist.canonical", "chipletbist.kinds"]
 
 
 def test_readme_library_example_runs_as_documented():
