@@ -45,6 +45,7 @@ _EXPORTS = {
     "canonical_json": "canonical",
     "load_config": "campaign",
     "parse_config": "campaign",
+    "rediagnose_report": "campaign",
     "run_campaign": "campaign",
     "sample_faults": "campaign",
     "CircuitElement": "circuits",
@@ -69,13 +70,13 @@ _EXPORTS = {
     "scenario_for": "defects",
     "BridgeCandidate": "diagnosis",
     "BumpDiagnosis": "diagnosis",
-    "DefectRangeEstimate": "ranges",
     "FaultDictionary": "diagnosis",
     "QuadBridge": "diagnosis",
     "QuadStuckAt": "diagnosis",
     "build_fault_dictionary": "diagnosis",
     "diagnosability": "diagnosis",
     "diagnose": "diagnosis",
+    "DefectRangeEstimate": "ranges",
     "map_to_defect_range": "ranges",
     "ColoringError": "errors",
     "FitError": "errors",

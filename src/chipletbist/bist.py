@@ -208,7 +208,7 @@ def resolve_net_values(
     if cycle not in (0, 1, 2):
         raise ParameterError(f"cycle must be 0, 1, or 2, got {cycle}")
     stuck, bridges = _check_engine_inputs(bump_map, faults)
-    if bump_map.block_count is None or not 0 <= active_block < bump_map.block_count:
+    if not 0 <= active_block < bump_map.block_count:
         raise ParameterError(f"active block {active_block} out of range")
 
     values = [0] * bump_map.bump_count

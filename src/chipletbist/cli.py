@@ -14,7 +14,7 @@ from importlib import import_module
 from itertools import chain, repeat
 from operator import attrgetter
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .canonical import SCHEMA_VERSION, _TextRows, stream_json
 from .errors import KitError, ParameterError, SimulationError
 from .kinds import (
@@ -28,39 +28,30 @@ from .kinds import (
 )
 
 # The tracer's hook: perfbench/tracer.py times layers by wrapping these 13
-# names on this module, and the table goes once the program traces itself.
-# Each name is a forwarder to the function of that name in its module, which
-# is imported on the forwarder's first call, so that a command loads only the
-# modules it runs.  The commands call them as this module's globals, so a
-# wrapper set here fires.  The four bumpmap names and canonical_json are
-# never called here: gen-map goes through campaign, and the commands stream
-# their documents.
-_FORWARDED = {
-    "assign_codewords": "bumpmap",
-    "build_bump_map": "bumpmap",
-    "partition_blocks": "bumpmap",
-    "potential_short_graph": "bumpmap",
-    "build_fault_dictionary": "diagnosis",
-    "canonical_json": "canonical",
-    "load_config": "campaign",
-    "rediagnose_report": "campaign",
-    "run_campaign": "campaign",
-    "classify_defect": "defects",
-    "emit_netlist": "circuits",
-    "fit_severity_curve": "curves",
-    "load_samples_csv": "curves",
-}
+# names on this module, and the tuple goes once the program traces itself.
+# Each name is a forwarder to the public function of that name, in the module
+# the package's export table names; that module is imported on the
+# forwarder's first call, so that a command loads only the modules it runs.
+# The commands call them as this module's globals, so a wrapper set here
+# fires.  The four bumpmap names and canonical_json are never called here:
+# gen-map goes through campaign, and the commands stream their documents.
+_FORWARDED = (
+    "assign_codewords", "build_bump_map", "partition_blocks", "potential_short_graph",
+    "build_fault_dictionary", "canonical_json", "load_config", "rediagnose_report",
+    "run_campaign", "classify_defect", "emit_netlist", "fit_severity_curve", "load_samples_csv",
+)
 
 
-def _forwarder(name: str, module: str):
+def _forwarder(name: str):
     def forward(*args, **kwargs):
-        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+        module = import_module(f".{_EXPORTS[name]}", __package__)
+        return getattr(module, name)(*args, **kwargs)
 
     forward.__name__ = forward.__qualname__ = name
     return forward
 
 
-globals().update({name: _forwarder(name, module) for name, module in _FORWARDED.items()})
+globals().update({name: _forwarder(name) for name in _FORWARDED})
 
 
 class _UsageError(Exception):

@@ -241,19 +241,3 @@ def diagnose(
         )
     return diagnoses
 
-
-# The defect-range estimates live in ``ranges``, which imports the curves and
-# defects modules; they load when first read from here (PEP 562).
-_RANGE_NAMES = ("MagnitudeBound", "GeometryBound", "DefectRangeEstimate", "map_to_defect_range")
-
-
-def __getattr__(name: str):
-    if name in _RANGE_NAMES:
-        from . import ranges
-
-        return getattr(ranges, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_RANGE_NAMES})

@@ -3,8 +3,9 @@
 A diagnosed candidate maps to the magnitude bound of the functional fault
 class it implies, read off the classifier's rule table, and, given a
 strictly monotone severity curve, to a bound on the defect geometry.  No
-command runs this; ``chipletbist.diagnosis`` forwards its names here on
-first use, so diagnosing loads neither the curves nor the defects module.
+command runs this, and ``diagnosis`` does not import it, so diagnosing loads
+neither the curves nor the defects module.  The public names also resolve
+from ``chipletbist``.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from chipletbist.bumpmap import (
     Lattice,
     LatticeKind,
     assign_codewords,
+    block_sizes,
     build_bump_map,
     partition_blocks,
     potential_short_graph,
@@ -340,6 +341,16 @@ def test_overhead_single_block():
     report = overhead_report(partition_blocks(bump_map, 1))
     assert report.detector_count == 15
     assert report.tpg_count == 1
+
+
+def test_block_sizes_count_any_blocks_tuple():
+    # A BumpMap takes any blocks tuple; only partition_blocks makes column
+    # bands, so a size is not rows x band width (that would give [2, 2] here).
+    lattice = Lattice(LatticeKind.RECTANGULAR, 2, 2, 20.0)
+    bump_map = BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0, 0, 0, 1), block_count=2)
+    assert block_sizes(bump_map) == [3, 1]
+    assert overhead_report(bump_map).detector_count == 3
+    assert bump_map.bumps_in_block(1) == (3,)
 
 
 def test_fault_validation():

@@ -1059,6 +1059,19 @@ def test_every_name_the_tracer_wraps_exists():
     assert traced_cli.canonical_json({"a": [1]}) == canonical_json({"a": [1]})
 
 
+def test_every_forwarder_names_the_module_that_defines_it():
+    # Each forwarder finds its module in the package's export table when it
+    # is called.  No command calls the bumpmap names, so a wrong entry for
+    # one would show only in a traced run; check every target here.
+    import chipletbist.cli as cli
+
+    assert len(cli._FORWARDED) == 13
+    for name in cli._FORWARDED:
+        module = importlib.import_module(f"chipletbist.{chipletbist._EXPORTS[name]}")
+        assert getattr(module, name).__module__ == module.__name__, name
+        assert getattr(cli, name).__name__ == name
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The values the JSON writer hands to json.dumps, in order."""

@@ -33,16 +33,15 @@ from chipletbist.diagnosis import (
     BridgeCandidate,
     BumpDiagnosis,
     FaultDictionary,
-    MagnitudeBound,
     QuadBridge,
     QuadStuckAt,
     build_fault_dictionary,
     diagnosability,
     diagnose,
-    map_to_defect_range,
     quad_fault_universe,
 )
 from chipletbist.errors import ParameterError
+from chipletbist.ranges import MagnitudeBound, map_to_defect_range
 
 WA = BridgeBehavior.WIRED_AND
 WO = BridgeBehavior.WIRED_OR
