@@ -30,7 +30,7 @@ from itertools import accumulate, chain, repeat, starmap
 from operator import add
 
 from .errors import ColoringError, ParameterError
-from .kinds import DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind  # noqa: F401  re-exported by name
+from .kinds import LatticeKind
 from .record import Record
 
 # Largest lattice (rows * cols) accepted, checked before anything allocates;

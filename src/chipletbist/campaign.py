@@ -28,7 +28,7 @@ from .bist import (
     bump_response,
     overhead_report,
     pattern_for,
-    run_block_test,  # noqa: F401  the full-map reference engine, re-exported by name
+    run_block_test,  # noqa: F401  perfbench/tracer.py wraps it here by name
 )
 from .bumpmap import (
     AdjacencyGraph,
@@ -40,7 +40,7 @@ from .bumpmap import (
     partition_blocks,
     potential_short_graph,
 )
-from .canonical import SCHEMA_VERSION, canonical_json  # noqa: F401  re-exported by name
+from .canonical import SCHEMA_VERSION
 from .diagnosis import (
     BumpDiagnosis,
     Candidate,

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .defects import ComponentKind, PhysicalDefect, nominal_parasitics
+from .defects import nominal_parasitics
 from .errors import ParameterError
+from .kinds import ComponentKind, PhysicalDefect
 from .record import Record
 
 

@@ -8,8 +8,8 @@ in x fitted against ln y, and a polynomial is degree d in x.  The normal
 equations are summed with ``math.fsum`` and solved by LU elimination with
 partial pivoting, in plain Python.  Monotone curves invert by bisection,
 which turns magnitude bounds into defect-geometry bounds.  ``CurveFamily``
-and ``MAX_POLYNOMIAL_DEGREE`` come from the shared vocabulary module
-``chipletbist.kinds`` and are re-exported here.
+and ``MAX_POLYNOMIAL_DEGREE`` are defined in the shared vocabulary module
+``chipletbist.kinds``.
 """
 
 from __future__ import annotations

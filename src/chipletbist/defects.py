@@ -4,8 +4,8 @@ Nominal parasitics cover the two interconnect component kinds (Cu pillar and
 RDL segment).  Physical defect kinds map, via the net they afflict, to
 electrical scenarios, and the classifier turns an extracted fault magnitude
 (open-gap capacitance or short resistance) into the functional fault class it
-causes, if any.  The component kinds, defect kinds and scenarios come from
-the shared vocabulary module ``chipletbist.kinds`` and are re-exported here.
+causes, if any.  The component kinds, defect kinds and scenarios are defined
+in the shared vocabulary module ``chipletbist.kinds``.
 """
 
 from __future__ import annotations

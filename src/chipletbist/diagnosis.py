@@ -34,9 +34,9 @@ from .bumpmap import (
     COLOR_ORDER,
     Color,
     Lattice,
-    LatticeKind,
 )
 from .errors import ParameterError
+from .kinds import LatticeKind
 from .record import Record
 
 if TYPE_CHECKING:

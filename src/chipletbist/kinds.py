@@ -2,10 +2,10 @@
 
 The lattice kinds, the default short radius, the component kinds, physical
 defect kinds, electrical scenarios, curve families and the polynomial degree
-cap are defined here once.  ``bumpmap``, ``defects`` and ``curves``
-re-export them, and the CLI builds its parser's choices and defaults from
-them, so a command loads none of those modules before it runs.  Standard
-library only.
+cap are defined here once, and every module that uses them imports them
+from here.  The CLI builds its parser's choices and defaults from them, so a
+command loads none of the bump-map, defect or curve modules before it runs.
+Standard library only.
 """
 
 from enum import Enum

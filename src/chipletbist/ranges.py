@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from .bist import Bridge, StuckAt
 from .curves import SeverityCurve, eval_severity, invert_severity, is_strictly_monotone
-from .defects import (
-    _CLASSIFY_RULES,
-    ComponentKind,
-    FunctionalFaultClass,
-    MagnitudeKind,
-    geometry_note,
-)
+from .defects import _CLASSIFY_RULES, FunctionalFaultClass, MagnitudeKind, geometry_note
 from .diagnosis import BridgeCandidate, Candidate
 from .errors import InversionError, ParameterError
+from .kinds import ComponentKind
 from .record import Record
 
 

@@ -25,9 +25,7 @@ from chipletbist.bist import (
 )
 from chipletbist.bumpmap import (
     COLOR_ORDER,
-    BumpMap,
     Color,
-    DEFAULT_SHORT_RADIUS_FACTOR,
     Lattice,
     LatticeKind,
     assign_codewords,
@@ -36,13 +34,8 @@ from chipletbist.bumpmap import (
     partition_blocks,
     potential_short_graph,
 )
-from chipletbist.campaign import (
-    CampaignConfig,
-    MapSpec,
-    SamplerSpec,
-    canonical_json,
-    run_campaign,
-)
+from chipletbist.campaign import CampaignConfig, MapSpec, SamplerSpec, run_campaign
+from chipletbist.canonical import canonical_json
 from chipletbist.circuits import build_faulty_circuit, emit_netlist
 from chipletbist.cli import main as cli_main
 from chipletbist.curves import (
@@ -62,6 +55,8 @@ from chipletbist.defects import (
     nominal_parasitics,
 )
 from chipletbist.diagnosis import build_fault_dictionary, diagnosability
+from chipletbist.kinds import DEFAULT_SHORT_RADIUS_FACTOR
+from oracle import quad_map
 
 WA = BridgeBehavior.WIRED_AND
 WO = BridgeBehavior.WIRED_OR
@@ -75,11 +70,6 @@ def criterion(number, description):
         print(f"criterion {number:2d} ({description}): FAIL")
         raise
     print(f"criterion {number:2d} ({description}): PASS")
-
-
-def quad_map():
-    lattice = Lattice(LatticeKind.RECTANGULAR, 1, 4, 20.0)
-    return BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0,) * 4, block_count=1)
 
 
 def test_criterion_01_detector_truth_table():

@@ -35,6 +35,7 @@ from chipletbist.bumpmap import (
     potential_short_graph,
 )
 from chipletbist.errors import ParameterError, SimulationError
+from oracle import quad_map
 
 WA = BridgeBehavior.WIRED_AND
 WO = BridgeBehavior.WIRED_OR
@@ -44,12 +45,6 @@ ALL_WORDS = [Pattern3(*bits) for bits in itertools.product((0, 1), repeat=3)]
 
 def word(s):
     return Pattern3.from_string(s)
-
-
-def quad_map():
-    """One bump per color, one block, used as the canonical GUT."""
-    lattice = Lattice(LatticeKind.RECTANGULAR, 1, 4, 20.0)
-    return BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0, 0, 0, 0), block_count=1)
 
 
 def test_codeword_table():

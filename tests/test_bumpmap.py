@@ -15,7 +15,6 @@ from chipletbist.bumpmap import (
     BumpMap,
     COLOR_ORDER,
     Color,
-    DEFAULT_SHORT_RADIUS_FACTOR,
     Lattice,
     LatticeKind,
     MAX_BUMPS,
@@ -28,6 +27,7 @@ from chipletbist.bumpmap import (
     potential_short_graph,
 )
 from chipletbist.errors import ColoringError, ParameterError
+from chipletbist.kinds import DEFAULT_SHORT_RADIUS_FACTOR
 
 PITCH = 20.0
 

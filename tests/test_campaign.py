@@ -15,7 +15,6 @@ from chipletbist.campaign import (
     MapSpec,
     SamplerSpec,
     build_campaign_map,
-    canonical_json,
     config_to_dict,
     fault_from_dict,
     fault_to_dict,
@@ -24,6 +23,7 @@ from chipletbist.campaign import (
     run_campaign,
     sample_faults,
 )
+from chipletbist.canonical import canonical_json
 from chipletbist.errors import ColoringError, ParameterError
 
 

@@ -15,7 +15,8 @@ import pytest
 
 import chipletbist
 from chipletbist.bumpmap import LatticeKind
-from chipletbist.campaign import CampaignConfig, MapSpec, build_campaign_map, canonical_json
+from chipletbist.campaign import CampaignConfig, MapSpec, build_campaign_map
+from chipletbist.canonical import canonical_json
 from chipletbist.cli import main
 from chipletbist.errors import KitError
 

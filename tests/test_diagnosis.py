@@ -16,7 +16,6 @@ from chipletbist.bist import (
 )
 from chipletbist.bumpmap import (
     AdjacencyGraph,
-    BumpMap,
     COLOR_INDEX,
     COLOR_ORDER,
     Color,
@@ -42,6 +41,7 @@ from chipletbist.diagnosis import (
 )
 from chipletbist.errors import ParameterError
 from chipletbist.ranges import MagnitudeBound, map_to_defect_range
+from oracle import every_single_fault, names, quad_map
 
 WA = BridgeBehavior.WIRED_AND
 WO = BridgeBehavior.WIRED_OR
@@ -50,10 +50,8 @@ G, B, R, K = COLOR_ORDER
 
 
 def quad_fixture():
-    lattice = Lattice(LatticeKind.RECTANGULAR, 1, 4, 20.0)
-    bump_map = BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0,) * 4, block_count=1)
     graph = AdjacencyGraph([(a, b) for a in range(4) for b in range(a + 1, 4)])
-    return bump_map, graph
+    return quad_map(), graph
 
 
 def test_universe_has_14_faults():
@@ -195,24 +193,12 @@ def test_diagnose_orders_stuck_at_before_bridges():
 
 def test_diagnosis_soundness_on_the_quad():
     bump_map, graph = quad_fixture()
-    faults = [StuckAt(i, v) for i in range(4) for v in (0, 1)]
-    faults += [
-        Bridge(a, b, behavior)
-        for a in range(4)
-        for b in range(a + 1, 4)
-        for behavior in (WA, WO)
-    ]
+    faults = every_single_fault(bump_map, graph)
+    assert len(faults) == 20
     for fault in faults:
         report = run_block_test(bump_map, [fault])[0]
-        found = False
-        for entry in diagnose(report, bump_map, graph):
-            for candidate in entry.candidates:
-                if isinstance(fault, StuckAt) and candidate == fault:
-                    found = True
-                if isinstance(fault, Bridge) and isinstance(candidate, BridgeCandidate):
-                    if (candidate.a, candidate.b) == (fault.a, fault.b):
-                        found = True
-        assert found, f"injected {fault} missing from its own diagnosis"
+        candidates = [c for entry in diagnose(report, bump_map, graph) for c in entry.candidates]
+        assert any(names(c, fault) for c in candidates), f"{fault} missing from its own diagnosis"
 
 
 def test_diagnose_on_full_map_prunes_by_adjacency_and_color():
@@ -288,12 +274,6 @@ def scan_diagnose(report, bump_map, graph, dictionary):
             BumpDiagnosis(bump, color, response, tuple(candidates), unmodeled=not modeled)
         )
     return diagnoses
-
-
-def every_single_fault(bump_map, graph):
-    faults = [StuckAt(bump, value) for bump in range(bump_map.bump_count) for value in (0, 1)]
-    faults += [Bridge(a, b, behavior) for a, b in graph.sorted_edges for behavior in (WA, WO)]
-    return faults
 
 
 def test_diagnose_matches_dictionary_scan():

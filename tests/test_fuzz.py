@@ -21,7 +21,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from chipletbist.campaign import canonical_json, parse_config, rediagnose_report, run_campaign
+from chipletbist.campaign import parse_config, rediagnose_report, run_campaign
+from chipletbist.canonical import canonical_json
 from chipletbist.cli import main
 from chipletbist.curves import load_samples_csv
 from chipletbist.errors import ColoringError, ParameterError
