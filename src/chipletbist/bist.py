@@ -258,8 +258,7 @@ def resolve_net_values(
 class BlockTestReport(Record):
     """Per-bump detector responses for one tested block.
 
-    ``received`` keeps the raw 3-bit words as a diagnostic aid; it may be
-    empty for reports reconstructed from serialized data.
+    ``received`` keeps the raw 3-bit words as a diagnostic aid.
     """
 
     block: int

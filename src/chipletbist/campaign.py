@@ -20,7 +20,6 @@ from .bist import (
     NOMINAL_RESPONSE,
     Bridge,
     BridgeBehavior,
-    BlockTestReport,
     DetectorResponse,
     Fault,
     Pattern3,
@@ -46,7 +45,8 @@ from .diagnosis import (
     Candidate,
     build_fault_dictionary,
     diagnosability_ratio,
-    diagnose,
+    diagnose,  # noqa: F401  perfbench/tracer.py wraps it here by name
+    diagnose_bump,
 )
 from .errors import ParameterError
 from .kinds import DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind
@@ -397,33 +397,31 @@ def _fault_local_failing(bump_map: BumpMap, fault: Fault) -> FailingBumps:
 
 
 def diagnose_failing(
-    failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph
+    failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph, by_response
 ) -> list[dict]:
-    """Diagnosis entries of one fault's failing bumps, blocks in ascending order.
+    """Diagnosis entries of one fault's failing bumps, in (block, bump) order.
 
-    Every listed response fails (y = 0) and every other bump of a block
-    passed, so each listed block is diagnosed as its own test report: its
-    listed responses, plus their unlisted same-block neighbors at (1, 1).
-    Other-block neighbors stay absent: unfalsifiable, as in a full report.
+    Every other bump of a block passed, so a same-block neighbor reads its
+    listed response or (1, 1); an other-block neighbor cannot be falsified.
+    ``by_response`` is the fault dictionary's table, ``FaultDictionary.by_response``.
     """
-    responses_of: dict[int, dict[int, DetectorResponse]] = {}
-    for block, bump, response in failing:
-        responses = responses_of.setdefault(block, {})
-        responses[bump] = response
-        for neighbor in graph.neighbors(bump):
-            if bump_map.blocks[neighbor] == block:
-                responses.setdefault(neighbor, NOMINAL_RESPONSE)
-    return [
-        diagnosis_to_dict(entry, block)
-        for block, responses in sorted(responses_of.items())
-        for entry in diagnose(BlockTestReport(block, responses, {}), bump_map, graph)
-    ]
+    listed = {bump: response for _, bump, response in failing}
+
+    def observed(other: int) -> DetectorResponse | None:
+        # ``block`` is the loop's: the block of the bump being diagnosed.
+        return listed.get(other, NOMINAL_RESPONSE) if bump_map.blocks[other] == block else None
+
+    entries = []
+    for block, bump, response in sorted(failing):
+        entry = diagnose_bump(bump, response, observed, bump_map.coloring, graph, by_response)
+        entries.append(diagnosis_to_dict(entry, block))
+    return entries
 
 
-def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
+def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph, by_response) -> dict:
     """One fault's report entry, simulated and diagnosed fault-locally."""
     failing = _fault_local_failing(bump_map, fault)
-    diagnosis = diagnose_failing(failing, bump_map, graph)
+    diagnosis = diagnose_failing(failing, bump_map, graph, by_response)
     wire = fault_to_dict(fault)
     # A candidate names the fault when it matches the fault's wire form
     # with the bridge behavior folded away.
@@ -455,12 +453,12 @@ def run_campaign(config: CampaignConfig) -> dict:
     Every fault is simulated on its own (single-fault assumption), so results
     are independent of fault-list order.  Each fault is simulated and
     diagnosed fault-locally: only the one or two nets it touches are
-    resolved, and only their same-block neighborhoods reach ``diagnose``.
-    The result equals running the full-map ``run_block_test`` and diagnosing
-    every block, at a per-fault cost independent of the map size.  The map
-    build is not: the colors, blocks and block sizes each take a pass over
-    the bumps (the short graph and the greedy rows do not, and no position
-    is computed).  The metrics are counts over the finished fault results.
+    resolved, and only its failing bumps are matched.  The result equals
+    running the full-map ``run_block_test`` and ``diagnose`` on every block,
+    at a per-fault cost independent of the map size.  The map build is not:
+    the colors, blocks and block sizes each take a pass over the bumps (the
+    short graph and the greedy rows do not, and no position is computed).
+    The metrics are counts over the finished fault results.
     """
     bump_map, graph = build_campaign_map(config)
     if config.faults is not None:
@@ -474,7 +472,7 @@ def run_campaign(config: CampaignConfig) -> dict:
 
     dictionary = build_fault_dictionary()
     numerator, denominator = diagnosability_ratio(dictionary)
-    fault_results = [_fault_result(fault, bump_map, graph) for fault in faults]
+    fault_results = [_fault_result(f, bump_map, graph, dictionary.by_response) for f in faults]
     overhead = overhead_report(bump_map)
 
     detected = sum(result["detected"] for result in fault_results)
@@ -585,8 +583,9 @@ def rediagnose_report(report: dict) -> dict:
             + ", ".join(f"{key} {value}" for key, value in expected_map.items())
             + ")"
         )
+    by_response = build_fault_dictionary().by_response
     diagnoses = []
     for i, result in enumerate(report["fault_results"]):
         failing = _failing_from_dict(result, f"report.fault_results[{i}]", bump_map)
-        diagnoses.append(diagnose_failing(failing, bump_map, graph))
+        diagnoses.append(diagnose_failing(failing, bump_map, graph, by_response))
     return {"version": SCHEMA_VERSION, "diagnoses": diagnoses}

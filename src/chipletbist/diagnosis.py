@@ -200,6 +200,26 @@ class BumpDiagnosis(Record):
     unmodeled: bool = False
 
 
+def diagnose_bump(bump, response, observed, coloring, graph, by_response) -> BumpDiagnosis:
+    """One failing bump's stuck-at candidates, then bridges by ascending partner id.
+
+    ``observed(neighbor)`` is a neighbor's response, or None if it cannot be
+    falsified.  A bridge needs a neighbor of a partner color in ``by_response``
+    whose observed response agrees with the signature.
+    """
+    color = coloring[bump]
+    match = by_response.get((color, response))
+    stuck_values, partners = match or ((), {})
+    candidates: list[Candidate] = [StuckAt(bump, value) for value in stuck_values]
+    # Neighbors ascend, so the (min, max) keys come out sorted and unique.
+    for neighbor in graph.neighbors(bump):
+        expected = partners.get(coloring[neighbor], ())
+        seen = observed(neighbor)
+        if expected and (seen is None or seen in expected):
+            candidates.append(BridgeCandidate(min(bump, neighbor), max(bump, neighbor)))
+    return BumpDiagnosis(bump, color, response, tuple(candidates), unmodeled=match is None)
+
+
 def diagnose(
     report: BlockTestReport,
     bump_map: BumpMap,
@@ -208,36 +228,16 @@ def diagnose(
 ) -> list[BumpDiagnosis]:
     """Match failing bumps (y = 0) against the single-fault dictionary.
 
-    Each failing bump is matched through its color-local response.  Bridge
-    candidates are limited to adjacency-graph neighbors of the partner color
-    whose own observed response agrees with the signature (neighbors outside
-    the report, e.g. in another block, cannot be falsified and are kept).
-    Candidates list stuck-at hypotheses first, then bridges by ascending
-    partner id.  An empty list means no fault was detected.  Guarantees hold
-    under the single-fault assumption; multi-fault reports are processed
-    bump by bump on a best-effort basis.
+    A neighbor outside the report, e.g. in another block, cannot be falsified,
+    so its bridge candidate is kept.  An empty list means no fault was
+    detected.  Guarantees hold under the single-fault assumption; multi-fault
+    reports are processed bump by bump on a best-effort basis.
     """
     if bump_map.coloring is None:
         raise ParameterError("bump map must be colored to diagnose responses")
     by_response = (dictionary or build_fault_dictionary()).by_response
-    coloring = bump_map.coloring
-    diagnoses = []
-    for bump in sorted(report.responses):
-        response = report.responses[bump]
-        if response.y == 1:
-            continue
-        color = coloring[bump]
-        match = by_response.get((color, response))
-        stuck_values, partners = match or ((), {})
-        candidates: list[Candidate] = [StuckAt(bump, value) for value in stuck_values]
-        # Neighbors ascend, so the (min, max) keys come out sorted and unique.
-        for neighbor in graph.neighbors(bump):
-            expected = partners.get(coloring[neighbor], ())
-            observed = report.responses.get(neighbor)
-            if expected and (observed is None or observed in expected):
-                candidates.append(BridgeCandidate(min(bump, neighbor), max(bump, neighbor)))
-        diagnoses.append(
-            BumpDiagnosis(bump, color, response, tuple(candidates), unmodeled=match is None)
-        )
-    return diagnoses
-
+    return [
+        diagnose_bump(bump, response, report.responses.get, bump_map.coloring, graph, by_response)
+        for bump, response in sorted(report.responses.items())
+        if response.y != 1
+    ]

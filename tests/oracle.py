@@ -4,7 +4,9 @@
 block.  ``every_single_fault`` is a map's single-fault universe.
 ``reference_result`` is one fault's report entry built from the full-map
 ``run_block_test`` and ``diagnose`` on every block: the reference that the
-fault-local campaign engine must equal.
+fault-local campaign engine must equal.  ``failing_groups`` gathers the
+faults that no test response tells apart, which a sound diagnosis must name
+together.
 """
 
 from chipletbist.bist import Bridge, BridgeBehavior, StuckAt, run_block_test
@@ -55,3 +57,26 @@ def reference_result(fault, bump_map, graph, dictionary):
         "diagnosis": [diagnosis_to_dict(entry, block) for block, entry in entries],
         "diagnosis_hit": any(names(c, fault) for _, entry in entries for c in entry.candidates),
     }
+
+
+def folded(fault):
+    """The fault as a diagnosis candidate names it: its bridge behaviour folded away."""
+    return BridgeCandidate(fault.a, fault.b) if isinstance(fault, Bridge) else fault
+
+
+def failing_groups(faults, references):
+    """Each fault's group: every detected fault, folded, with the same failing list.
+
+    ``references`` are the faults' ``reference_result``s, so the failing
+    lists are the full-map ``run_block_test``'s.  An undetected fault's group
+    is empty.
+    """
+    keys = [
+        tuple((item["block"], item["bump"], *item["response"]) for item in reference["failing"])
+        for reference in references
+    ]
+    groups = {}
+    for fault, key in zip(faults, keys, strict=True):
+        if key:
+            groups.setdefault(key, set()).add(folded(fault))
+    return [frozenset(groups.get(key, ())) for key in keys]

@@ -34,7 +34,7 @@ from chipletbist.campaign import (
 from chipletbist.canonical import canonical_json
 from chipletbist.diagnosis import build_fault_dictionary, diagnose
 from chipletbist.errors import ParameterError
-from oracle import every_single_fault, reference_result
+from oracle import every_single_fault, failing_groups, reference_result
 
 KINDS = ("hexagonal", "rectangular")
 BLOCK_COUNTS = (1, 2, 3, 8)
@@ -257,3 +257,37 @@ def test_every_detected_fault_is_a_diagnosis_hit_across_blocks():
                 if reference["detected"] and not reference["diagnosis_hit"]
             ]
     assert misses == []
+
+
+# (group, fault) pairs missed at 2, 3 and 4 blocks, all of them inter-block
+# wired-AND bridges (ROADMAP item 2).
+GROUP_MISSES = {"hexagonal": (18, 36, 54), "rectangular": (4, 8, 12)}
+GROUPED = [
+    pytest.param(
+        kind,
+        blocks,
+        id=f"{kind}-{blocks}blk",
+        marks=() if blocks == 1 else pytest.mark.xfail(
+            strict=True,
+            reason=f"{GROUP_MISSES[kind][blocks - 2]} (group, fault) pairs miss a candidate: "
+            "inter-block wired-AND bridges (ROADMAP item 2)",
+        ),
+    )
+    for kind in KINDS
+    for blocks in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("kind, block_count", GROUPED)
+def test_every_fault_of_a_failing_list_is_named_at_each_failing_bump(kind, block_count):
+    # Faults with one full-map failing list cannot be told apart, so every
+    # entry the campaign writes for that list names each of them.
+    faults, report, references = exhaustive_campaign(kind, block_count)
+    missed = set()
+    groups = failing_groups(faults, references)
+    for group, result in zip(groups, report["fault_results"], strict=True):
+        for fault in group:
+            named = fault_to_dict(fault)
+            if any(named not in entry["candidates"] for entry in result["diagnosis"]):
+                missed.add((group, fault))
+    assert missed == set()

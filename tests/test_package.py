@@ -95,9 +95,10 @@ def test_shared_vocabulary_is_defined_once():
     assert not hasattr(campaign, "canonical_json")
 
 
-# The one module-level import its module never reads: perfbench/tracer.py
-# wraps campaign.run_block_test by name until the program traces itself.
-UNREAD_IMPORTS = {"campaign.run_block_test"}
+# The module-level imports their module never reads: perfbench/tracer.py
+# wraps campaign.run_block_test and campaign.diagnose by name until the
+# program traces itself.
+UNREAD_IMPORTS = {"campaign.run_block_test", "campaign.diagnose"}
 
 
 def _imported_names(body):
@@ -120,6 +121,35 @@ def test_every_module_level_import_is_read_in_its_module():
             f"{path.stem}.{name}" for name in _imported_names(tree.body) if name not in read
         }
     assert unread == UNREAD_IMPORTS
+
+
+def test_every_module_defining_a_record_postpones_its_annotations():
+    # On 3.14 a class body without this import hands the metaclass no
+    # __annotations__ (PEP 649/749), so record._RecordType would see no fields.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(chipletbist.__file__).parent.glob("*.py")
+    }
+    classes = [
+        (stem, node) for stem, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    records, size = {"Record"}, 0
+    while len(records) > size:  # records of records, until no class is added
+        size = len(records)
+        records |= {
+            node.name for _, node in classes
+            if any(ast.unparse(base).rpartition(".")[2] in records for base in node.bases)
+        }
+    modules = {stem for stem, node in classes if node.name in records - {"Record"}}
+    postponed = {
+        stem for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+    }
+    assert {"bist", "diagnosis"} <= modules
+    assert sorted(modules - postponed) == []
 
 
 def test_vocabulary_and_writer_load_only_their_own_modules():
