@@ -284,6 +284,38 @@ def run_block_test(bump_map: BumpMap, faults: Iterable[Fault]) -> list[BlockTest
     return reports
 
 
+# (block, bump, response) of failing bumps, as stored in a campaign report's "failing" list.
+FailingBumps = list[tuple[int, int, DetectorResponse]]
+
+
+def fault_local_failing(bump_map: BumpMap, fault: Fault) -> FailingBumps:
+    """(block, bump, response) of every bump one fault makes fail, ascending.
+
+    Inactive blocks drive 0, so a single fault changes the received word of
+    its stuck net or of its two bridge endpoints only, each during its own
+    block; every other bump receives its codeword and answers (1, 1).  A
+    bridge endpoint receives the wired AND/OR of its codeword and the
+    partner's word: the partner's codeword within one block, 000 across
+    blocks.  This agrees with ``run_block_test`` on every single fault.
+    """
+    coloring, blocks = bump_map.coloring, bump_map.blocks
+    if isinstance(fault, StuckAt):
+        words = {fault.net: Pattern3(fault.value, fault.value, fault.value)}
+    else:
+        merge = min if fault.behavior is BridgeBehavior.WIRED_AND else max
+        words = {}
+        for bump, partner in ((fault.a, fault.b), (fault.b, fault.a)):
+            same_block = blocks[partner] == blocks[bump]
+            other = pattern_for(coloring[partner]) if same_block else (0, 0, 0)
+            words[bump] = Pattern3(*map(merge, pattern_for(coloring[bump]), other))
+    failing = []
+    for bump, word in words.items():
+        response = bump_response(word, coloring[bump])
+        if response.y == 0:
+            failing.append((blocks[bump], bump, response))
+    return sorted(failing)
+
+
 class OverheadReport(Record):
     detector_count: int
     tpg_count: int

@@ -21,12 +21,11 @@ from .bist import (
     Bridge,
     BridgeBehavior,
     DetectorResponse,
+    FailingBumps,
     Fault,
-    Pattern3,
     StuckAt,
-    bump_response,
+    fault_local_failing,
     overhead_report,
-    pattern_for,
     run_block_test,  # noqa: F401  perfbench/tracer.py wraps it here by name
 )
 from .bumpmap import (
@@ -51,9 +50,6 @@ from .diagnosis import (
 from .errors import ParameterError
 from .kinds import DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind
 from .record import Record
-
-# (block, bump, response) of failing bumps, as stored in a report's "failing" list.
-FailingBumps = list[tuple[int, int, DetectorResponse]]
 
 DEFAULT_KIND_MIX = {"sa": 0.5, "bridge": 0.5}
 DEFAULT_BEHAVIOR_MIX = {behavior.value: 0.5 for behavior in BridgeBehavior}
@@ -368,34 +364,6 @@ def diagnosis_to_dict(entry: BumpDiagnosis, block: int) -> dict:
     }
 
 
-def _fault_local_failing(bump_map: BumpMap, fault: Fault) -> FailingBumps:
-    """(block, bump, response) of every bump one fault makes fail, ascending.
-
-    Inactive blocks drive 0, so a single fault changes the received word of
-    its stuck net or of its two bridge endpoints only, each during its own
-    block; every other bump receives its codeword and answers (1, 1).  A
-    bridge endpoint receives the wired AND/OR of its codeword and the
-    partner's word: the partner's codeword within one block, 000 across
-    blocks.  This agrees with ``run_block_test`` on every single fault.
-    """
-    coloring, blocks = bump_map.coloring, bump_map.blocks
-    if isinstance(fault, StuckAt):
-        words = {fault.net: Pattern3(fault.value, fault.value, fault.value)}
-    else:
-        merge = min if fault.behavior is BridgeBehavior.WIRED_AND else max
-        words = {}
-        for bump, partner in ((fault.a, fault.b), (fault.b, fault.a)):
-            same_block = blocks[partner] == blocks[bump]
-            other = pattern_for(coloring[partner]) if same_block else (0, 0, 0)
-            words[bump] = Pattern3(*map(merge, pattern_for(coloring[bump]), other))
-    failing = []
-    for bump, word in words.items():
-        response = bump_response(word, coloring[bump])
-        if response.y == 0:
-            failing.append((blocks[bump], bump, response))
-    return sorted(failing)
-
-
 def diagnose_failing(
     failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph, by_response
 ) -> list[dict]:
@@ -420,7 +388,7 @@ def diagnose_failing(
 
 def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph, by_response) -> dict:
     """One fault's report entry, simulated and diagnosed fault-locally."""
-    failing = _fault_local_failing(bump_map, fault)
+    failing = fault_local_failing(bump_map, fault)
     diagnosis = diagnose_failing(failing, bump_map, graph, by_response)
     wire = fault_to_dict(fault)
     # A candidate names the fault when it matches the fault's wire form

@@ -20,12 +20,13 @@ from math import comb, gcd
 from typing import TYPE_CHECKING
 
 from .bist import (
+    NOMINAL_RESPONSE,
     Bridge,
     BridgeBehavior,
     BlockTestReport,
     DetectorResponse,
     StuckAt,
-    run_block_test,
+    fault_local_failing,
 )
 from .bumpmap import (
     AdjacencyGraph,
@@ -68,24 +69,14 @@ def quad_fault_universe() -> tuple[QuadFault, ...]:
     return tuple(faults)
 
 
-def _quad_map() -> BumpMap:
-    # One bump per color in a single block; any pair may bridge.
-    lattice = Lattice(LatticeKind.RECTANGULAR, rows=1, cols=4, pitch_um=20.0)
-    return BumpMap(lattice, COLOR_ORDER, (0, 0, 0, 0), 1)
-
-
-def _signature_of(report: BlockTestReport) -> Signature:
-    return tuple(report.responses[i] for i in range(4))  # type: ignore[return-value]
-
-
 class FaultDictionary(Record):
     """Signature -> candidate faults, with ambiguity accounting.
 
     ``signatures_of`` is the one stored table: each fault's realizations,
     one signature for a stuck-at fault, one per wired behavior (wired-AND
     first) for a bridge.  The universe, the signature index, the ambiguous
-    pairs and the response table are read-only views derived from it, so
-    they cannot disagree.
+    pairs and the response table are read-only views derived from it when
+    first read; an edit to the table after that does not reach them.
     """
 
     __slots__ = ("__dict__",)  # where the derived views are kept
@@ -144,20 +135,28 @@ class FaultDictionary(Record):
 
 
 @functools.cache
-def build_fault_dictionary() -> FaultDictionary:
-    """Simulate all 14 quad faults and collect their response signatures."""
-    bump_map = _quad_map()
+def _quad_signatures() -> tuple[tuple[QuadFault, tuple[Signature, ...]], ...]:
+    """Each quad fault's signatures by the single-fault rule; an unlisted bump passes."""
+    # One bump per color in a single block; any pair may bridge.
+    lattice = Lattice(LatticeKind.RECTANGULAR, rows=1, cols=4, pitch_um=20.0)
+    bump_map = BumpMap(lattice, COLOR_ORDER, (0, 0, 0, 0), 1)
     signatures_of: dict[QuadFault, tuple[Signature, ...]] = {}
     for fault in quad_fault_universe():
         if isinstance(fault, QuadStuckAt):
-            realizations = [[StuckAt(COLOR_INDEX[fault.color], fault.value)]]
+            realizations = [StuckAt(COLOR_INDEX[fault.color], fault.value)]
         else:
             a, b = COLOR_INDEX[fault.color_a], COLOR_INDEX[fault.color_b]
-            realizations = [[Bridge(a, b, behavior)] for behavior in BridgeBehavior]
+            realizations = [Bridge(a, b, behavior) for behavior in BridgeBehavior]
+        failing = [{bump: r for _, bump, r in fault_local_failing(bump_map, f)} for f in realizations]
         signatures_of[fault] = tuple(
-            _signature_of(run_block_test(bump_map, faults)[0]) for faults in realizations
+            tuple(listed.get(bump, NOMINAL_RESPONSE) for bump in range(4)) for listed in failing
         )
-    return FaultDictionary(signatures_of)
+    return tuple(signatures_of.items())
+
+
+def build_fault_dictionary() -> FaultDictionary:
+    """The 14-fault quad dictionary, new on every call: one caller's edit reaches no other."""
+    return FaultDictionary(dict(_quad_signatures()))
 
 
 def diagnosability_ratio(dictionary: FaultDictionary) -> tuple[int, int]:

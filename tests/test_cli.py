@@ -1060,6 +1060,45 @@ def test_every_name_the_tracer_wraps_exists():
     assert traced_cli.canonical_json({"a": [1]}) == canonical_json({"a": [1]})
 
 
+def test_commands_run_no_full_map_engine(monkeypatch, capsys, tmp_path):
+    # Commands and the dictionary use the single-fault rule: with the full-map
+    # engine's net resolver raising and the dictionary cache cleared, every
+    # command still exits 0 with the same bytes.
+    import chipletbist.bist as bist
+    import chipletbist.diagnosis as diagnosis
+
+    config = str(REPO / "configs" / "campaign_16x16_hex.json")
+    commands = [
+        ["dictionary", "--format", "text"],
+        ["dictionary", "--format", "json"],
+        ["dictionary", "--format", "csv"],
+        ["simulate", "--config", config, "--out", "{dir}/report.json"],
+        ["diagnose", "--report", "{dir}/report.json", "--out", "{dir}/diagnosis.json"],
+        ["gen-map", "--kind", "hexagonal", "--rows", "16", "--cols", "16", "--pitch-um", "20",
+         "--blocks", "4", "--out", "{dir}/map.json"],
+    ]
+
+    def outputs(directory):
+        directory.mkdir()
+        seen = []
+        for command in commands:
+            argv = [arg.format(dir=directory) for arg in command]
+            status, out, err = run_cli(capsys, *argv)
+            written = Path(argv[-1]).read_bytes() if "--out" in argv else None
+            seen.append((status, out, err, written))
+        return seen
+
+    expected = outputs(tmp_path / "reference")
+    assert [status for status, *_ in expected] == [0] * len(commands)
+
+    def resolve_net_values(*args, **kwargs):
+        raise AssertionError("a command ran the full-map engine")
+
+    monkeypatch.setattr(bist, "resolve_net_values", resolve_net_values)
+    diagnosis._quad_signatures.cache_clear()
+    assert outputs(tmp_path / "single-fault") == expected
+
+
 def test_every_forwarder_names_the_module_that_defines_it():
     # Each forwarder finds its module in the package's export table when it
     # is called.  No command calls the bumpmap names, so a wrong entry for

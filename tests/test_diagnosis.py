@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from chipletbist.bist import (
+    NOMINAL_RESPONSE,
     Bridge,
     BridgeBehavior,
     BlockTestReport,
     DetectorResponse,
     StuckAt,
+    fault_local_failing,
     run_block_test,
 )
 from chipletbist.bumpmap import (
@@ -82,6 +84,53 @@ def test_every_fault_fails_somewhere():
     for fault in dictionary.universe:
         for signature in dictionary.signatures_of[fault]:
             assert any(resp.y == 0 for resp in signature)
+
+
+def reference_signatures():
+    """Each quad fault's signatures from ``run_block_test``, in universe order."""
+    bump_map = quad_map()
+    table = {}
+    for fault in quad_fault_universe():
+        if isinstance(fault, QuadStuckAt):
+            realizations = [StuckAt(COLOR_INDEX[fault.color], fault.value)]
+        else:
+            a, b = COLOR_INDEX[fault.color_a], COLOR_INDEX[fault.color_b]
+            realizations = [Bridge(a, b, behavior) for behavior in BridgeBehavior]
+        table[fault] = tuple(
+            tuple(run_block_test(bump_map, [realization])[0].responses[bump] for bump in range(4))
+            for realization in realizations
+        )
+    return table
+
+
+def test_dictionary_equals_the_reference_engine():
+    # The dictionary is built by the single-fault rule; every one of the 20
+    # quad realizations (8 stuck-at, 6 bridges x 2 behaviors) must give the
+    # full-map engine's block-0 responses, and the table its order.
+    bump_map = quad_map()
+    realizations = [StuckAt(net, value) for net in range(4) for value in (0, 1)]
+    realizations += [
+        Bridge(a, b, behavior)
+        for a, b in itertools.combinations(range(4), 2)
+        for behavior in BridgeBehavior
+    ]
+    assert len(realizations) == 20
+    for fault in realizations:
+        listed = {bump: response for _, bump, response in fault_local_failing(bump_map, fault)}
+        (report,) = run_block_test(bump_map, [fault])
+        assert report.responses == {b: listed.get(b, NOMINAL_RESPONSE) for b in range(4)}, fault
+    reference = reference_signatures()
+    assert list(build_fault_dictionary().signatures_of.items()) == list(reference.items())
+
+
+def test_an_edited_dictionary_reaches_no_later_call():
+    edited = build_fault_dictionary()
+    edited.signatures_of[QuadStuckAt(G, 0)] = ()
+    del edited.signatures_of[QuadBridge(G, B)]
+    later = build_fault_dictionary()
+    assert later is not edited
+    assert list(later.signatures_of.items()) == list(reference_signatures().items())
+    assert diagnosability(later)[0] == Fraction(87, 91)
 
 
 def test_green_sa0_signature():
