@@ -190,6 +190,44 @@ def _check_engine_inputs(bump_map: BumpMap, faults: Iterable[Fault]):
     return stuck, bridges
 
 
+def _block_words(
+    bump_map: BumpMap, members: tuple[int, ...], stuck: dict[int, int], bridges: list[Bridge]
+) -> list[Pattern3]:
+    """Every net's word while ``members``' block is active: the four stages of
+    ``resolve_net_values`` on whole words.  A mixed component is named in the
+    order of its first bridge, as the fault list reaches it.
+    """
+    words = [Pattern3(0, 0, 0)] * bump_map.bump_count
+    for b in members:
+        words[b] = CODEWORDS[bump_map.coloring[b]]
+    stuck_words = {net: Pattern3(value, value, value) for net, value in stuck.items()}
+    for net, word in stuck_words.items():
+        words[net] = word
+    # Each component's nets and behaviours, keyed by the index of its first bridge.
+    components: dict[int, tuple[set[int], set[BridgeBehavior]]] = {}
+    for i, bridge in enumerate(bridges):
+        nets, kinds = {bridge.a, bridge.b}, {bridge.behavior}
+        touching = [k for k, (other, _) in components.items() if not nets.isdisjoint(other)]
+        for k in touching:
+            other_nets, other_kinds = components.pop(k)
+            nets |= other_nets
+            kinds |= other_kinds
+        components[min(touching, default=i)] = (nets, kinds)
+    for _, (nets, kinds) in sorted(components.items()):
+        if len(kinds) > 1:
+            raise SimulationError(
+                "bridge component mixing wired-AND and wired-OR on nets "
+                f"{sorted(nets)} is unsupported"
+            )
+        merge = min if BridgeBehavior.WIRED_AND in kinds else max
+        merged = Pattern3(*map(merge, *(words[net] for net in nets)))
+        for net in nets:
+            words[net] = merged
+    for net, word in stuck_words.items():
+        words[net] = word
+    return words
+
+
 def resolve_net_values(
     bump_map: BumpMap,
     active_block: int,
@@ -210,49 +248,8 @@ def resolve_net_values(
     stuck, bridges = _check_engine_inputs(bump_map, faults)
     if not 0 <= active_block < bump_map.block_count:
         raise ParameterError(f"active block {active_block} out of range")
-
-    values = [0] * bump_map.bump_count
-    for b in range(bump_map.bump_count):
-        if bump_map.blocks[b] == active_block:
-            values[b] = pattern_for(bump_map.coloring[b])[cycle]
-    for net, value in stuck.items():
-        values[net] = value
-
-    if bridges:
-        parent: dict[int, int] = {}
-
-        def find(i: int) -> int:
-            parent.setdefault(i, i)
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for bridge in bridges:
-            ra, rb = find(bridge.a), find(bridge.b)
-            if ra != rb:
-                parent[ra] = rb
-        components: dict[int, list[int]] = {}
-        behaviors: dict[int, set[BridgeBehavior]] = {}
-        for net in parent:
-            components.setdefault(find(net), []).append(net)
-        for bridge in bridges:
-            behaviors.setdefault(find(bridge.a), set()).add(bridge.behavior)
-        for root, members in components.items():
-            kinds = behaviors[root]
-            if len(kinds) > 1:
-                raise SimulationError(
-                    "bridge component mixing wired-AND and wired-OR on nets "
-                    f"{sorted(members)} is unsupported"
-                )
-            bits = [values[m] for m in members]
-            merged = min(bits) if next(iter(kinds)) is BridgeBehavior.WIRED_AND else max(bits)
-            for m in members:
-                values[m] = merged
-        for net, value in stuck.items():
-            values[net] = value
-
-    return tuple(values)
+    words = _block_words(bump_map, bump_map.bumps_in_block(active_block), stuck, bridges)
+    return tuple(word[cycle] for word in words)
 
 
 class BlockTestReport(Record):
@@ -268,18 +265,13 @@ class BlockTestReport(Record):
 
 def run_block_test(bump_map: BumpMap, faults: Iterable[Fault]) -> list[BlockTestReport]:
     """Run the full block-sequenced test and report every bump's response."""
-    faults = list(faults)
-    _check_engine_inputs(bump_map, faults)
+    stuck, bridges = _check_engine_inputs(bump_map, faults)
     reports = []
     for block in range(bump_map.block_count):
-        per_cycle = [resolve_net_values(bump_map, block, faults, cyc) for cyc in range(3)]
-        received = {
-            b: Pattern3(per_cycle[0][b], per_cycle[1][b], per_cycle[2][b])
-            for b in bump_map.bumps_in_block(block)
-        }
-        responses = {
-            b: bump_response(word, bump_map.coloring[b]) for b, word in received.items()
-        }
+        members = bump_map.bumps_in_block(block)
+        words = _block_words(bump_map, members, stuck, bridges)
+        received = {b: words[b] for b in members}
+        responses = {b: bump_response(words[b], bump_map.coloring[b]) for b in members}
         reports.append(BlockTestReport(block=block, responses=responses, received=received))
     return reports
 

@@ -159,6 +159,10 @@ def build_fault_dictionary() -> FaultDictionary:
     return FaultDictionary(dict(_quad_signatures()))
 
 
+# diagnose's default: one dictionary per process, whose by_response is derived once.
+_quad_dictionary = functools.cache(build_fault_dictionary)
+
+
 def diagnosability_ratio(dictionary: FaultDictionary) -> tuple[int, int]:
     """D in lowest terms, as (numerator, denominator), with no Fraction."""
     total = comb(len(dictionary.universe), 2)
@@ -234,7 +238,7 @@ def diagnose(
     """
     if bump_map.coloring is None:
         raise ParameterError("bump map must be colored to diagnose responses")
-    by_response = (dictionary or build_fault_dictionary()).by_response
+    by_response = (dictionary or _quad_dictionary()).by_response
     return [
         diagnose_bump(bump, response, report.responses.get, bump_map.coloring, graph, by_response)
         for bump, response in sorted(report.responses.items())

@@ -1,7 +1,8 @@
 """The tests' single-fault oracle: every single fault, simulated on the whole map.
 
 ``quad_map`` is the canonical group under test, one bump per colour in one
-block.  ``every_single_fault`` is a map's single-fault universe.
+block.  ``every_single_fault`` is a map's single-fault universe, over the
+potential-short edges or any other pairs.
 ``reference_result`` is one fault's report entry built from the full-map
 ``run_block_test`` and ``diagnose`` on every block: the reference that the
 fault-local campaign engine must equal.  ``failing_groups`` gathers the
@@ -21,10 +22,14 @@ def quad_map():
     return BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0, 0, 0, 0), block_count=1)
 
 
-def every_single_fault(bump_map, graph):
-    """SA-0 and SA-1 on every bump, and both behaviours on every potential-short edge."""
+def every_single_fault(bump_map, graph, pairs=None):
+    """SA-0 and SA-1 on every bump, and both behaviours on every bridged pair.
+
+    The pairs are the potential-short edges unless ``pairs`` gives others.
+    """
+    pairs = graph.sorted_edges if pairs is None else pairs
     faults = [StuckAt(bump, value) for bump in range(bump_map.bump_count) for value in (0, 1)]
-    faults += [Bridge(a, b, behavior) for a, b in graph.sorted_edges for behavior in BridgeBehavior]
+    faults += [Bridge(a, b, behavior) for a, b in pairs for behavior in BridgeBehavior]
     return faults
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -259,6 +260,56 @@ def test_bridge_component_merges_transitively():
     # cycle 1 bits: green 1, blue 0, red 1 -> AND = 0 on all three
     assert values[0] == values[1] == values[2] == 0
     assert values[3] == pattern_for(Color.BLACK)[1]
+
+
+def quad_words(faults):
+    """The quad's received words as text, checked against every cycle of resolve_net_values."""
+    bump_map = quad_map()
+    received = run_block_test(bump_map, faults)[0].received
+    bits = [resolve_net_values(bump_map, 0, faults, cycle) for cycle in range(3)]
+    assert [tuple(received[b][cycle] for b in range(4)) for cycle in range(3)] == bits
+    return [str(received[b]) for b in range(4)]
+
+
+def test_wired_or_chain_merges_transitively():
+    # green 011 | blue 101 | red 010 = 111; black stays unbridged.
+    assert quad_words([Bridge(0, 1, WO), Bridge(1, 2, WO)]) == ["111", "111", "111", "100"]
+
+
+def test_disjoint_wired_and_and_wired_or_components_resolve_separately():
+    # green 011 & blue 101 = 001; red 010 | black 100 = 110.
+    faults = [Bridge(0, 1, WA), Bridge(2, 3, WO)]
+    assert quad_words(faults) == ["001", "001", "110", "110"]
+
+
+def test_stuck_net_in_a_chain_keeps_its_word_and_joins_the_merge():
+    # The stuck word enters the merge: 011 & 111 & 010 = 010, and 011 | 000 | 010 = 011.
+    chain_and = [Bridge(0, 1, WA), StuckAt(1, 1), Bridge(1, 2, WA)]
+    assert quad_words(chain_and) == ["010", "111", "010", "100"]
+    chain_or = [Bridge(0, 1, WO), StuckAt(1, 0), Bridge(1, 2, WO)]
+    assert quad_words(chain_or) == ["011", "000", "011", "100"]
+
+
+def test_mixed_component_message_names_its_sorted_nets():
+    message = "bridge component mixing wired-AND and wired-OR on nets [0, 1, 2] is unsupported"
+    faults = [Bridge(2, 1, WO), Bridge(1, 0, WA)]
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        run_block_test(quad_map(), faults)
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        resolve_net_values(quad_map(), 0, faults, 2)
+
+
+def test_mixed_component_named_is_the_one_with_the_earliest_bridge():
+    # Both components mix behaviours; {0, 1, 5} holds the first bridge of the list.
+    bump_map, _ = full_map()
+    faults = [Bridge(0, 1, WA), Bridge(2, 3, WA), Bridge(3, 6, WO), Bridge(1, 5, WO)]
+    for call in (lambda: run_block_test(bump_map, faults),
+                 lambda: resolve_net_values(bump_map, 1, faults, 0)):
+        with pytest.raises(SimulationError, match=re.escape("on nets [0, 1, 5] is")):
+            call()
+    faults = [faults[1], *faults[2:], faults[0]]
+    with pytest.raises(SimulationError, match=re.escape("on nets [2, 3, 6] is")):
+        run_block_test(bump_map, faults)
 
 
 def test_resolve_is_independent_of_fault_order():

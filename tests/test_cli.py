@@ -1062,8 +1062,8 @@ def test_every_name_the_tracer_wraps_exists():
 
 def test_commands_run_no_full_map_engine(monkeypatch, capsys, tmp_path):
     # Commands and the dictionary use the single-fault rule: with the full-map
-    # engine's net resolver raising and the dictionary cache cleared, every
-    # command still exits 0 with the same bytes.
+    # engine's resolvers (per cycle and per block) raising and the dictionary
+    # cache cleared, every command still exits 0 with the same bytes.
     import chipletbist.bist as bist
     import chipletbist.diagnosis as diagnosis
 
@@ -1095,6 +1095,7 @@ def test_commands_run_no_full_map_engine(monkeypatch, capsys, tmp_path):
         raise AssertionError("a command ran the full-map engine")
 
     monkeypatch.setattr(bist, "resolve_net_values", resolve_net_values)
+    monkeypatch.setattr(bist, "_block_words", resolve_net_values)
     diagnosis._quad_signatures.cache_clear()
     assert outputs(tmp_path / "single-fault") == expected
 

@@ -5,10 +5,11 @@ touches.  Every per-fault result must equal the one built from
 ``run_block_test`` over the whole map followed by ``diagnose`` on every
 block (``oracle.reference_result``), and rediagnosis must equal a
 reconstruction of every block's report.  Sampled faults are checked on 7x10
-maps, and every single fault on 8x8 maps.
+maps, every single fault on 8x8 maps, and every bump pair on 5x5 maps.
 """
 
 import functools
+import itertools
 import json
 import random
 import re
@@ -204,12 +205,16 @@ EXHAUSTIVE = [
 
 
 @functools.cache
-def exhaustive_campaign(kind, block_count):
-    """Every single fault of an 8x8 map, run as one campaign, and each fault's reference."""
+def exhaustive_campaign(kind, block_count, size=8, every_pair=False):
+    """Every single fault of a square map, run as one campaign, and each fault's reference.
+
+    Bridges join the potential-short edges, or every pair of bumps with ``every_pair``.
+    """
     data = config_dict(kind, block_count, faults=[])
-    data["map"].update(rows=8, cols=8)
+    data["map"].update(rows=size, cols=size)
     bump_map, graph = build_campaign_map(parse_config(data))
-    faults = every_single_fault(bump_map, graph)
+    pairs = itertools.combinations(range(bump_map.bump_count), 2) if every_pair else None
+    faults = every_single_fault(bump_map, graph, pairs)
     data["faults"] = [fault_to_dict(fault) for fault in faults]
     report = run_campaign(parse_config(data))
     dictionary = build_fault_dictionary()
@@ -221,6 +226,20 @@ def exhaustive_campaign(kind, block_count):
 def test_every_single_fault_matches_full_map_engine(kind, block_count):
     # The report's fault results are the fault-local engine's (_fault_result).
     faults, report, references = exhaustive_campaign(kind, block_count)
+    for fault, result, reference in zip(faults, report["fault_results"], references, strict=True):
+        assert {key: result[key] for key in reference} == reference, fault
+
+
+@pytest.mark.parametrize(
+    "kind, block_count",
+    [pytest.param(kind, blocks, id=f"{kind}-{blocks}blk") for kind in KINDS for blocks in (1, 2, 3)],
+)
+def test_every_bump_pair_matches_full_map_engine(kind, block_count):
+    # Not only potential-short edges: non-adjacent bridges within and across
+    # blocks, and same-colour bridges, which no test response detects.
+    faults, report, references = exhaustive_campaign(kind, block_count, 5, every_pair=True)
+    assert len(faults) == 2 * 25 + 2 * 300
+    assert not all(reference["detected"] for reference in references)
     for fault, result, reference in zip(faults, report["fault_results"], references, strict=True):
         assert {key: result[key] for key in reference} == reference, fault
 
