@@ -182,26 +182,20 @@ class AdjacencyGraph:
 class _LatticeGraph(AdjacencyGraph):
     """The potential-short graph of a lattice map, answered by arithmetic.
 
-    It keeps the offset classes :func:`potential_short_graph` accepts, keyed
-    (dr, dc, row parity of the lower bump); every pair of an accepted class
-    is an edge.  Bump (r, c) meets (r + dr, c + dc) through every accepted
-    class that fits the map, so nothing is stored per bump or per edge.
+    It keeps the (dr, dc) offset classes :func:`potential_short_graph`
+    accepts, per row parity, and ``depth``, their largest dr; every pair of
+    a class is an edge.  Bump (r, c) meets (r + dr, c + dc) through every
+    accepted class that fits the map, so nothing is stored per bump or edge.
     """
 
     def __init__(
-        self, lattice: Lattice, short_radius_um: float, classes: list[tuple[int, int, int]]
+        self, lattice: Lattice, short_radius_um: float, offsets: tuple[list, list], depth: int
     ) -> None:
         rows, cols = self._rows, self._cols = lattice.rows, lattice.cols
         self.short_radius_um = short_radius_um
         self.id_bound = rows * cols
-        # Per parity of a bump's row, the classes it opens as the lower bump
-        # and, reversed, those its lower partners open, in (dr, dc) order,
-        # which is ascending id: (first, end) row and column it fits, and
-        # id offset.
-        offsets: tuple[list, list] = ([], [])
-        for dr, dc, parity in classes:
-            offsets[parity].append((dr, dc))
-            offsets[(parity + dr) % 2].append((-dr, -dc))
+        # Each parity's offsets in (dr, dc) order, which is ascending id:
+        # (first, end) row and column it fits, and id offset.
         self._offsets = tuple(
             [
                 (max(0, -dr), rows - max(0, dr), max(0, -dc), cols - max(0, dc), dr * cols + dc)
@@ -212,7 +206,6 @@ class _LatticeGraph(AdjacencyGraph):
         self._above = tuple([o for o in table if o[4] > 0] for table in self._offsets)
         # Rows of one parity open the same classes, so greedy colors that
         # repeat over the tiling's row period repeat to the last row.
-        depth = max((dr for dr, _, _ in classes), default=0)
         self.period = (_TILING_ROWS[lattice.kind] * cols, (depth + 1) * cols)
         self.sorted_edges = _LatticeEdges(self)
 
@@ -354,7 +347,10 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     dr_max = min(lattice.rows - 1, math.isqrt(quarters_max // 3))
     dc_max = min(lattice.cols - 1, (math.isqrt(quarters_max) + 1) // 2)
     hexagonal = lattice.kind is LatticeKind.HEXAGONAL
-    classes = []
+    # Per row parity, the classes a bump opens as the lower bump and, reversed,
+    # those its lower partners open; dr ascends, so the last one is the depth.
+    offsets: tuple[list, list] = ([], [])
+    depth = 0
     for dr in range(dr_max + 1):
         for dc in range(-dc_max if dr else 1, dc_max + 1):
             for parity in (0, 1):
@@ -365,8 +361,10 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
                 else:
                     quarters = 4 * (dc * dc + dr * dr)
                 if quarters <= quarters_max:
-                    classes.append((dr, dc, parity))
-    return _LatticeGraph(lattice, short_radius_um, classes)
+                    offsets[parity].append((dr, dc))
+                    offsets[(parity + dr) % 2].append((-dr, -dc))
+                    depth = dr
+    return _LatticeGraph(lattice, short_radius_um, offsets, depth)
 
 
 def periodic_tiling_coloring(lattice: Lattice) -> tuple[Color, ...]:

@@ -411,6 +411,10 @@ def main(argv=None) -> int:
     except (KitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # Unwinding the command frees what it held, so one line still prints.
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

@@ -1,11 +1,17 @@
 """Tests for the codeword table, detector, fault resolution, and FSM schedule."""
 
 import itertools
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chipletbist
 from chipletbist.bist import (
     ACCEPTED_WORDS,
     Bridge,
@@ -387,6 +393,46 @@ def test_overhead_single_block():
     report = overhead_report(partition_blocks(bump_map, 1))
     assert report.detector_count == 15
     assert report.tpg_count == 1
+
+
+def test_overhead_test_length_is_the_fsm_length():
+    # Every split of a 1x32 row, from one block to one bump per block.
+    bump_map = build_bump_map(Lattice(LatticeKind.RECTANGULAR, 1, 32, 20.0))
+    bump_map = assign_codewords(bump_map, potential_short_graph(bump_map, 1.9 * 20.0))
+    for blocks in range(1, 33):
+        blocked = partition_blocks(bump_map, blocks)
+        report = overhead_report(blocked)
+        assert report.test_cycles == fsm_schedule(blocks).total_cycles
+        assert report.detector_count == max(block_sizes(blocked))
+
+
+def test_simulate_one_block_per_column_fits_in_1_gib(tmp_path):
+    # The report's test length is the FSM's closed form: its one-hot
+    # schedule for 65536 blocks would take tens of gigabytes.
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+    config = {
+        "version": 1,
+        "map": {"kind": "rectangular", "rows": 1, "cols": 65536, "pitch_um": 20.0},
+        "block_count": 65536,
+        "sampler": {"n_faults": 10, "seed": 1},
+        "output": {"report": "report.json"},
+    }
+    config_path, report_path = tmp_path / "config.json", tmp_path / "report.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(chipletbist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipletbist.cli", "simulate", "--config", str(config_path),
+         "--out", str(report_path)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["overhead"]["test_cycles"] == 196610
 
 
 def test_block_sizes_count_any_blocks_tuple():

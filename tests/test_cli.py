@@ -837,6 +837,19 @@ def test_gen_map_oversized_lattice_exits_1(capsys):
     )
 
 
+def test_running_out_of_memory_exits_1_in_one_line(capsys, monkeypatch):
+    # Any command can exhaust memory; it prints one line, not a traceback.
+    import chipletbist.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_fault_dictionary", exhausted)
+    status, out, err = run_cli(capsys, "dictionary")
+    assert_one_line_error(status, out, err)
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize(
     "sampler",
     [
