@@ -33,8 +33,8 @@ from .kinds import (
 # the package's export table names; that module is imported on the
 # forwarder's first call, so that a command loads only the modules it runs.
 # The commands call them as this module's globals, so a wrapper set here
-# fires.  The four bumpmap names and canonical_json are never called here:
-# gen-map goes through campaign, and the commands stream their documents.
+# fires.  gen-map calls the four bumpmap names; canonical_json is never called
+# here, as the commands stream their documents.
 _FORWARDED = (
     "assign_codewords", "build_bump_map", "partition_blocks", "potential_short_graph",
     "build_fault_dictionary", "canonical_json", "load_config", "rediagnose_report",
@@ -106,11 +106,14 @@ def _stream(walk, out: str | None) -> None:
 
 
 def _cmd_gen_map(args) -> int:
-    from .campaign import CampaignConfig, MapSpec, build_campaign_map
+    # campaign.build_campaign_map's steps, through this module's forwarders,
+    # so that gen-map loads no fault engine.
+    from .bumpmap import Lattice
 
-    spec = MapSpec(LatticeKind(args.kind), args.rows, args.cols, args.pitch_um, args.radius_factor)
-    bump_map, graph = build_campaign_map(CampaignConfig(spec, args.blocks))
-    lattice = bump_map.lattice
+    lattice = Lattice(LatticeKind(args.kind), args.rows, args.cols, args.pitch_um)
+    bump_map = build_bump_map(lattice)
+    graph = potential_short_graph(bump_map, args.radius_factor * args.pitch_um)
+    bump_map = partition_blocks(assign_codewords(bump_map, graph), args.blocks)
     payload = {
         "version": SCHEMA_VERSION,
         "lattice": {

@@ -18,7 +18,7 @@ from chipletbist.bumpmap import LatticeKind
 from chipletbist.campaign import CampaignConfig, MapSpec, build_campaign_map
 from chipletbist.canonical import canonical_json
 from chipletbist.cli import main
-from chipletbist.errors import KitError
+from chipletbist.errors import KitError, SimulationError
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -496,6 +496,38 @@ def test_gen_map_equals_the_listed_payload(capsys, kind, rows, cols, pitch):
                 assert out == want, case
 
 
+@pytest.mark.parametrize("pitch", [20, 7.3])
+@pytest.mark.parametrize("factor", [1.0, 1.9, 2.0])
+@pytest.mark.parametrize("rows,cols", [(1, 40), (40, 1), (3, 3), (7, 9)])
+@pytest.mark.parametrize("kind", ["hexagonal", "rectangular"])
+def test_gen_map_builds_the_campaign_map(capsys, kind, rows, cols, factor, pitch):
+    # gen-map composes the map steps itself; it must agree with
+    # build_campaign_map, in the map or in the one error line and exit code.
+    for blocks in (1, 3, cols + 1):
+        spec = MapSpec(LatticeKind(kind), rows, cols, float(pitch), factor)
+        try:
+            bump_map, graph = build_campaign_map(CampaignConfig(spec, blocks))
+        except SimulationError as exc:
+            want = (2, f"simulation error: {exc}\n")
+        except KitError as exc:
+            want = (1, f"error: {exc}\n")
+        else:
+            want = (0, "")
+        status, out, err = run_cli(
+            capsys, "gen-map", "--kind", kind, "--rows", str(rows), "--cols", str(cols),
+            "--pitch-um", str(pitch), "--radius-factor", str(factor), "--blocks", str(blocks),
+        )
+        assert (status, err) == want, blocks
+        if status:
+            assert out == "", blocks
+            continue
+        payload = json.loads(out)
+        assert payload["colors"] == [c.value for c in bump_map.coloring], blocks
+        assert payload["blocks"] == list(bump_map.blocks), blocks
+        assert payload["edges"] == [list(edge) for edge in graph.sorted_edges], blocks
+        assert payload["short_radius_um"] == graph.short_radius_um, blocks
+
+
 def test_gen_map_holds_little_more_than_its_text(tmp_path):
     # The edges and positions are laid out from per-row texts, not from a
     # tuple and an encoding per item, and the text is written as it is laid
@@ -960,7 +992,8 @@ def test_commands_load_only_what_they_run(tmp_path):
         ),
         "diagnose": main_exits_0("diagnose", "--report", report, "--out", str(tmp_path / "d.json")),
     }
-    machinery = MACHINERY - modules_after("pass")
+    startup = modules_after("pass")
+    machinery = MACHINERY - startup
     bare = modules_after("import chipletbist")
     assert not {m for m in bare if m.startswith("chipletbist.")}
     assert "fractions" not in bare
@@ -975,6 +1008,11 @@ def test_commands_load_only_what_they_run(tmp_path):
         if name in ("import chipletbist.cli", "--version", "--help"):
             assert not loaded & STACK, name
         assert not name.startswith("dictionary") or "chipletbist.campaign" not in loaded, name
+        # gen-map runs on the bump map alone: no campaign, BIST, diagnosis or
+        # fault sampler (unless the interpreter's start-up loads random).
+        if name == "gen-map":
+            assert loaded & STACK == {"chipletbist.bumpmap"}, loaded & STACK
+            assert "random" not in loaded - startup
     # The other three commands still run, each loading its own modules and
     # nothing of the stack.
     csv_path = str(REPO / "configs" / "synthetic_bridge_severity.csv")
@@ -1031,6 +1069,10 @@ TRACED_CALLS = {
     "run_campaign": ["simulate", "--config", "{config}", "--out", "{out}"],
     "rediagnose_report": ["diagnose", "--report", "{report}"],
     "build_fault_dictionary": ["dictionary", "--format", "json"],
+    **dict.fromkeys(
+        ["build_bump_map", "potential_short_graph", "assign_codewords", "partition_blocks"],
+        ["gen-map", "--kind", "hexagonal", "--rows", "4", "--cols", "4", "--pitch-um", "20"],
+    ),
 }
 
 
@@ -1115,8 +1157,8 @@ def test_commands_run_no_full_map_engine(monkeypatch, capsys, tmp_path):
 
 def test_every_forwarder_names_the_module_that_defines_it():
     # Each forwarder finds its module in the package's export table when it
-    # is called.  No command calls the bumpmap names, so a wrong entry for
-    # one would show only in a traced run; check every target here.
+    # is called.  No command calls canonical_json, so a wrong entry for it
+    # would show only in a traced run; check every target here.
     import chipletbist.cli as cli
 
     assert len(cli._FORWARDED) == 13
