@@ -10,6 +10,7 @@ word from every other failure).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -191,7 +192,7 @@ def _check_engine_inputs(bump_map: BumpMap, faults: Iterable[Fault]):
 
 
 def _block_words(
-    bump_map: BumpMap, members: tuple[int, ...], stuck: dict[int, int], bridges: list[Bridge]
+    bump_map: BumpMap, members: Iterable[int], stuck: dict[int, int], bridges: list[Bridge]
 ) -> list[Pattern3]:
     """Every net's word while ``members``' block is active: the four stages of
     ``resolve_net_values`` on whole words.  A mixed component is named in the
@@ -266,9 +267,12 @@ class BlockTestReport(Record):
 def run_block_test(bump_map: BumpMap, faults: Iterable[Fault]) -> list[BlockTestReport]:
     """Run the full block-sequenced test and report every bump's response."""
     stuck, bridges = _check_engine_inputs(bump_map, faults)
+    groups: defaultdict[int, list[int]] = defaultdict(list)
+    for b, k in enumerate(bump_map.blocks):
+        groups[k].append(b)
     reports = []
     for block in range(bump_map.block_count):
-        members = bump_map.bumps_in_block(block)
+        members = groups.get(block, ())
         words = _block_words(bump_map, members, stuck, bridges)
         received = {b: words[b] for b in members}
         responses = {b: bump_response(words[b], bump_map.coloring[b]) for b in members}

@@ -38,8 +38,8 @@ from .record import Record
 MAX_BUMPS = 512 * 512
 
 
-# Rows in one period of the 4-color tiling, which the greedy coloring of a
-# lattice graph repeats too.
+# Rows in greedy's color period on a lattice graph: a multiple of the two row
+# parities, over which its colors at the default radius repeat.
 _TILING_ROWS = {LatticeKind.HEXAGONAL: 4, LatticeKind.RECTANGULAR: 2}
 
 
@@ -205,7 +205,7 @@ class _LatticeGraph(AdjacencyGraph):
         )
         self._above = tuple([o for o in table if o[4] > 0] for table in self._offsets)
         # Rows of one parity open the same classes, so greedy colors that
-        # repeat over the tiling's row period repeat to the last row.
+        # repeat over greedy's row period repeat to the last row.
         self.period = (_TILING_ROWS[lattice.kind] * cols, (depth + 1) * cols)
         self.sorted_edges = _LatticeEdges(self)
 
@@ -367,24 +367,6 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     return _LatticeGraph(lattice, short_radius_um, offsets, depth)
 
 
-def periodic_tiling_coloring(lattice: Lattice) -> tuple[Color, ...]:
-    """Structured 4-coloring with period 2 in columns and 4 (hex) / 2 (rect) in rows.
-
-    For the hexagonal lattice the color class of bump (r, c) is
-    (r mod 2, (c + r//2) mod 2); every same-class pair is >= 2*pitch apart, so
-    the coloring is proper on the 12-neighborhood (both close-packed rings).
-    The rectangular class is plain (r mod 2, c mod 2), proper for any short
-    radius below 2*pitch.
-    """
-    hexagonal = lattice.kind is LatticeKind.HEXAGONAL
-    period = [
-        COLOR_ORDER[(r % 2) * 2 + (c + (r // 2 if hexagonal else 0)) % 2]
-        for r in range(min(lattice.rows, _TILING_ROWS[lattice.kind]))
-        for c in range(lattice.cols)
-    ]
-    return _tiled([], period, lattice.bump_count)
-
-
 def _tiled(head: list[Color], tile: list[Color], count: int) -> tuple[Color, ...]:
     """The head colors, then the tile repeated, cut to count colors in all."""
     whole, part = divmod(count - len(head), len(tile))
@@ -424,12 +406,10 @@ def coloring_violations(
 
 
 def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:
-    """Assign a proper coloring with at most 4 colors, or fail loudly.
+    """Assign greedy's proper coloring with at most 4 colors, or fail loudly.
 
-    Greedy (smallest available color in bump-id order) runs first; when it
-    would need a 5th color the periodic lattice tiling is used instead,
-    provided it is proper on the given graph, which the first clash
-    disproves.  A 5th color is never emitted silently.
+    Greedy takes the smallest available color in bump-id order; when it
+    would need a 5th color, :class:`ColoringError` is raised.
     """
     bump_count = bump_map.bump_count
     if graph.id_bound > bump_count:
@@ -438,13 +418,7 @@ def assign_codewords(bump_map: BumpMap, graph: AdjacencyGraph) -> BumpMap:
             raise ParameterError(f"edge {foreign} references a bump outside the map")
     coloring = _greedy_coloring(bump_count, graph)
     if coloring is None:
-        tiling = periodic_tiling_coloring(bump_map.lattice)
-        if any(tiling[a] is tiling[b] for a in range(bump_count) for b in graph.neighbors(a)):
-            raise ColoringError(
-                "coloring failed: greedy needs a 5th color and the periodic "
-                "tiling is not proper on this graph"
-            )
-        coloring = tiling
+        raise ColoringError("coloring failed: greedy needs a 5th color")
     return BumpMap(bump_map.lattice, coloring, bump_map.blocks, bump_map.block_count)
 
 

@@ -19,6 +19,7 @@ from chipletbist.bist import (
     CODEWORDS,
     DetectorResponse,
     FsmState,
+    NOMINAL_RESPONSE,
     Pattern3,
     StuckAt,
     bump_response,
@@ -443,6 +444,19 @@ def test_block_sizes_count_any_blocks_tuple():
     assert block_sizes(bump_map) == [3, 1]
     assert overhead_report(bump_map).detector_count == 3
     assert bump_map.bumps_in_block(1) == (3,)
+
+
+def test_run_block_test_reports_no_bump_of_a_block_outside_block_count():
+    # A hand-built blocks tuple may name ids outside range(block_count): no
+    # tested block holds those bumps, so no report names them.
+    lattice = Lattice(LatticeKind.RECTANGULAR, 2, 3, 20.0)
+    coloring = COLOR_ORDER + COLOR_ORDER[:2]
+    bump_map = BumpMap(lattice, coloring=coloring, blocks=(1, 0, 5, -1, 1, 0), block_count=2)
+    reports = run_block_test(bump_map, [StuckAt(2, 0)])
+    assert [(r.block, sorted(r.responses)) for r in reports] == [(0, [1, 5]), (1, [0, 4])]
+    for report in reports:
+        assert tuple(report.responses) == bump_map.bumps_in_block(report.block)
+        assert set(report.responses.values()) == {NOMINAL_RESPONSE}
 
 
 def test_fault_validation():

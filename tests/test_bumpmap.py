@@ -23,7 +23,6 @@ from chipletbist.bumpmap import (
     build_bump_map,
     coloring_violations,
     partition_blocks,
-    periodic_tiling_coloring,
     potential_short_graph,
 )
 from chipletbist.errors import ColoringError, ParameterError
@@ -473,12 +472,30 @@ def test_hex_8x8_coloring_proper_via_edge_scan():
     assert len(set(colored.coloring)) <= 4
 
 
-def test_periodic_tiling_proper_on_interior_12_neighborhoods():
+def periodic_tiling_coloring(lattice):
+    """The pinned 4-color tiling: the first 4 (hex) or 2 (rect) rows, repeated.
+
+    Bump (r, c) takes color class (r mod 2, (c + r//2) mod 2) on a hexagonal
+    lattice and (r mod 2, c mod 2) on a rectangular one.  Two bumps of one
+    class are 2 pitches apart at the least, and exactly 2 on every map of 3
+    or more rows or columns except hex Nx1, where they are 2*sqrt(3) apart.
+    """
+    hexagonal = lattice.kind is LatticeKind.HEXAGONAL
+    period = [
+        COLOR_ORDER[(r % 2) * 2 + (c + (r // 2 if hexagonal else 0)) % 2]
+        for r in range(min(lattice.rows, 4 if hexagonal else 2))
+        for c in range(lattice.cols)
+    ]
+    whole, part = divmod(lattice.bump_count, len(period))
+    return tuple(period * whole + period[:part])
+
+
+def test_hex_64x64_coloring_proper_on_interior_12_neighborhoods():
     # Exhaustive scan at full 64x64 scale, including every interior bump's degree.
     bump_map = build_bump_map(hex_lattice(64, 64))
     graph = potential_short_graph(bump_map, DEFAULT_SHORT_RADIUS_FACTOR * PITCH)
-    tiling = periodic_tiling_coloring(bump_map.lattice)
-    assert coloring_violations(tiling, graph) == ()
+    colored = assign_codewords(bump_map, graph)
+    assert coloring_violations(colored.coloring, graph) == ()
     for r in range(2, 62):
         for c in range(2, 62):
             assert graph.degree(r * 64 + c) == 12
@@ -500,21 +517,22 @@ def test_periodic_tiling_is_the_per_bump_formula():
             assert periodic_tiling_coloring(lattice) == expected, (kind, rows, cols)
 
 
-def test_coloring_falls_back_to_periodic_tiling():
+def test_coloring_has_no_tiling_fallback():
     # Crown graph between tiling classes 0 (even row, col 0) and 3 (odd row,
     # col 1) of a 10x2 rect lattice: a_i = 4i and b_i = 4i + 3 interleave in
     # id order, a_i ~ b_j for i != j.  Greedy gives a_i and b_i color i and
-    # needs a 5th color at a_4; the tiling keeps the two classes apart.
+    # needs a 5th color at a_4.  The tiling keeps the two classes apart, but
+    # nothing falls back to it: the coloring fails.
     lattice = rect_lattice(10, 2)
     crown = AdjacencyGraph((4 * i, 4 * j + 3) for i in range(5) for j in range(5) if i != j)
-    colored = assign_codewords(build_bump_map(lattice), crown)
-    assert colored.coloring == periodic_tiling_coloring(lattice)
-    assert coloring_violations(colored.coloring, crown) == ()
-    assert colored.coloring[1] is Color.BLUE  # isolated; greedy would give GREEN
+    assert coloring_violations(periodic_tiling_coloring(lattice), crown) == ()
+    with pytest.raises(ColoringError) as excinfo:
+        assign_codewords(build_bump_map(lattice), crown)
+    assert str(excinfo.value) == "coloring failed: greedy needs a 5th color"
 
 
 def test_coloring_failure_is_loud():
-    # K5 is not 4-colorable: greedy needs a 5th color and the tiling has clashes.
+    # K5 is not 4-colorable: greedy needs a 5th color.
     bump_map = build_bump_map(rect_lattice(1, 5))
     k5 = AdjacencyGraph([(a, b) for a in range(5) for b in range(a + 1, 5)])
     with pytest.raises(ColoringError):
@@ -648,6 +666,42 @@ def test_lattice_coloring_is_the_greedy_coloring(kind, factor):
             assert len(calls) < bump_map.bump_count, (rows, cols)
         assert greedy == _greedy_coloring(bump_map.bump_count, reference), (rows, cols)
         assert coloring_or_error(bump_map, graph) == coloring_or_error(bump_map, reference)
+
+
+# Thin maps, hex Nx1 among them, and small squares from the 2x2 maps greedy
+# always colors up: the shapes where the tiling's classes meet last.
+GUARD_SHAPES = (
+    [(1, n) for n in range(1, 13)] + [(n, 1) for n in range(2, 13)] + [(n, n) for n in range(2, 7)]
+)
+
+
+def test_lattice_coloring_fails_only_where_the_tiling_clashes_too():
+    # assign_codewords raises exactly when greedy needs a 5th color, and the
+    # tiling then clashes on the graph as well, so no lattice map loses a
+    # coloring with the tiling fallback gone.  The tiling's same-class bumps
+    # first meet at 2 pitches (at sqrt(12) on hex Nx1, hence sqrt(7) and
+    # sqrt(12) there); greedy never fails on a map of 2x2 or fewer.
+    failed = 0
+    for kind in LatticeKind:
+        for pitch in (20.0, 7.3, 3.0):
+            for rows, cols in GUARD_SHAPES:
+                factors = DIFFERENTIAL_FACTORS
+                if kind is LatticeKind.HEXAGONAL and cols == 1:
+                    factors = factors + [math.sqrt(7.0), math.sqrt(12.0)]
+                for factor in factors:
+                    bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
+                    graph = potential_short_graph(bump_map, factor * pitch)
+                    greedy = _greedy_coloring(bump_map.bump_count, graph)
+                    case = (kind, pitch, rows, cols, factor)
+                    if greedy is not None:
+                        assert assign_codewords(bump_map, graph).coloring == greedy, case
+                        continue
+                    failed += 1
+                    with pytest.raises(ColoringError):
+                        assign_codewords(bump_map, graph)
+                    tiling = periodic_tiling_coloring(bump_map.lattice)
+                    assert coloring_violations(tiling, graph), case
+    assert failed > 0
 
 
 def test_default_factor_graphs_tile_their_colors():

@@ -205,8 +205,8 @@ def test_sampling_from_the_lattice_graph_is_unchanged(kind, rows, cols, include_
 def test_a_large_radius_factor_fails_before_building_the_pairs():
     # At 10 pitches an interior hex bump has 366 partners: hex 64x64 holds
     # 644,062 pairs, and building them all took about 84 MB (traced) before
-    # the coloring failed.  The first tiling clash ends the run instead,
-    # found from one bump's neighbours: no row's edges are built.
+    # the coloring failed.  Greedy's first bump that needs a 5th color ends
+    # the run instead, found from its neighbours: no row's edges are built.
     for factor, bound in ((10.0, 5 * 2**20), (10.3, 2 * 2**20)):
         config = CampaignConfig(MapSpec(LatticeKind.HEXAGONAL, 64, 64, 20.0, factor), 8)
         tracemalloc.start()
