@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from functools import cached_property
@@ -446,8 +446,10 @@ def partition_blocks(bump_map: BumpMap, block_count: int) -> BumpMap:
 
 
 def block_sizes(bump_map: BumpMap) -> list[int]:
-    """The number of bumps in each block, from one pass over ``blocks``."""
-    sizes = [0] * bump_map.block_count
-    for k in bump_map.blocks:
-        sizes[k] += 1
-    return sizes
+    """The number of bumps in each block, from one count of ``blocks``; a
+    block id outside ``range(block_count)`` raises ParameterError."""
+    counts, ids = Counter(bump_map.blocks), range(bump_map.block_count)
+    outside = counts.keys() - ids
+    if outside:
+        raise ParameterError(f"block id {min(outside)} is outside range({len(ids)})")
+    return [counts[k] for k in ids]

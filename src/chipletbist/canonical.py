@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 SCHEMA_VERSION = 1
@@ -26,33 +26,17 @@ _SCALAR_TEXT = {
 }
 
 
-# Rows per emitted piece: small beside the document, large beside the per-piece work.
-_BATCH_ROWS = 32768
-
-
 class _TextRows:
-    """A list of equal-length scalar lists, given as its columns of JSON texts:
-    ``columns[i][k]`` is item i of row k.  Only ``_write`` reads it."""
+    """A list of equal-length scalar lists that arrives group by group: each
+    group holds the columns of JSON texts of some consecutive lists
+    (``group[i][k]`` is item i of the group's list k), and ``count`` is the
+    number of lists in all.  Only ``_write`` reads it, once."""
 
-    def __init__(self, *columns: list[str]) -> None:
-        self.columns = columns
+    def __init__(self, groups: Iterable[tuple[list[str], ...]], count: int) -> None:
+        self.groups, self.count = groups, count
 
     def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def batch(self, start: int, head: str, inner: str) -> str:
-        """Rows ``start`` to ``start + _BATCH_ROWS`` at the level whose lines
-        start with ``inner``: each its opener, then its columns' texts with a
-        separator between; row 0's opener opens the list after ``head``."""
-        deeper, columns = inner + "  ", self.columns
-        count, width = min(_BATCH_ROWS, len(self) - start), 2 * len(columns)
-        pieces = ["," + deeper] * (width * count)
-        pieces[::width] = [f"{inner}],{inner}[{deeper}"] * count
-        if not start:
-            pieces[0] = f"{head}[{inner}[{deeper}"
-        for i, column in enumerate(columns):
-            pieces[2 * i + 1 :: width] = column[start : start + count]
-        return "".join(pieces)
+        return self.count
 
 
 def canonical_json(obj: Any) -> str:
@@ -110,9 +94,21 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
         emit(newline + "}")
         return
     if kind is _TextRows:
-        # No batch outlives its emit, so at most one is held beside its bytes.
-        for start in range(0, len(value), _BATCH_ROWS):
-            emit(value.batch(start, head, inner))
+        # One piece per group, so at most one is held beside its bytes: each
+        # list its opener, then its columns' texts with a separator between.
+        deeper = inner + "  "
+        opener, between = f"{head}[{inner}[{deeper}", f"{inner}],{inner}[{deeper}"
+        for columns in value.groups:
+            count, width = len(columns[0]), 2 * len(columns)
+            if not count:
+                continue
+            pieces = ["," + deeper] * (width * count)
+            pieces[::width] = [between] * count
+            pieces[0] = opener
+            for i, column in enumerate(columns):
+                pieces[2 * i + 1 :: width] = column
+            emit("".join(pieces))
+            opener = between
         emit(f"{inner}]{newline}]")
         return
     types = set(map(type, value))

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from importlib import import_module
-from itertools import chain, repeat
+from itertools import islice
 from operator import attrgetter
 
 from . import _EXPORTS, __version__
@@ -123,37 +123,34 @@ def _cmd_gen_map(args) -> int:
             "pitch_um": lattice.pitch_um,
         },
         "short_radius_um": graph.short_radius_um,
-        "positions": _position_rows(lattice),
+        "positions": _TextRows(_position_rows(lattice), lattice.bump_count),
         "colors": list(map(attrgetter("_value_"), bump_map.coloring)),
         "blocks": bump_map.blocks,
         "block_count": bump_map.block_count,
-        "edges": _edge_rows(graph, bump_map.bump_count),
+        "edges": _TextRows(_edge_rows(graph, lattice), len(graph.sorted_edges)),
     }
     _write_json(payload, args.out)
     return 0
 
 
-def _position_rows(lattice) -> _TextRows:
-    """The positions' texts: rows of one parity share their x, and a row its y."""
+def _position_rows(lattice):
+    """Each lattice row's x and y texts: rows of one parity share their x."""
     from .bumpmap import lattice_coordinates
 
     xs, odd_xs, ys = lattice_coordinates(lattice)
-    row_pair = [*map(float.__repr__, xs), *map(float.__repr__, odd_xs)]
-    whole, part = divmod(lattice.bump_count, len(row_pair))
-    ys = map(repeat, map(float.__repr__, ys), repeat(lattice.cols))
-    return _TextRows(row_pair * whole + row_pair[:part], list(chain.from_iterable(ys)))
+    row_xs = list(map(float.__repr__, xs)), list(map(float.__repr__, odd_xs))
+    for r, y in enumerate(ys):
+        yield row_xs[r % 2], [float.__repr__(y)] * lattice.cols
 
 
-def _edge_rows(graph, bump_count: int) -> _TextRows:
-    """The lattice graph's sorted edges as texts, each bump id formatted once."""
-    ids = list(map(int.__repr__, range(bump_count)))
-    reach = graph.period[1]
-    lower, upper = [], []
-    for start, low, up in graph.sorted_edges.row_patterns():
-        near = ids[start : start + reach]
-        lower += map(near.__getitem__, low)
-        upper += map(near.__getitem__, up)
-    return _TextRows(lower, upper)
+def _edge_rows(graph, lattice):
+    """Each lattice row's sorted edges as lower and upper id texts: each id is
+    formatted once, and only the ``period[1]`` ids a row can reach are held."""
+    texts = map(int.__repr__, range(lattice.bump_count))
+    near = list(islice(texts, graph.period[1]))
+    for _, low, up in graph.sorted_edges.row_patterns():
+        yield list(map(near.__getitem__, low)), list(map(near.__getitem__, up))
+        near = near[lattice.cols :] + list(islice(texts, lattice.cols))
 
 
 def _quad_fault_name(fault) -> str:

@@ -446,6 +446,20 @@ def test_block_sizes_count_any_blocks_tuple():
     assert bump_map.bumps_in_block(1) == (3,)
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 5])
+def test_block_sizes_rejects_a_block_id_outside_block_count(bad):
+    # bumps_in_block and run_block_test leave such a bump in no block, so a
+    # size that counted it (-1 as the last block) would disagree with them.
+    lattice = Lattice(LatticeKind.RECTANGULAR, 2, 3, 20.0)
+    coloring = COLOR_ORDER + COLOR_ORDER[:2]
+    bump_map = BumpMap(lattice, coloring=coloring, blocks=(1, 0, 1, bad, 1, 0), block_count=2)
+    message = re.escape(f"block id {bad} is outside range(2)")
+    with pytest.raises(ParameterError, match=message):
+        block_sizes(bump_map)
+    with pytest.raises(ParameterError, match=message):
+        overhead_report(bump_map)
+
+
 def test_run_block_test_reports_no_bump_of_a_block_outside_block_count():
     # A hand-built blocks tuple may name ids outside range(block_count): no
     # tested block holds those bumps, so no report names them.

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -305,7 +306,7 @@ def test_netlist_value_is_rounded_from_the_stored_double(capsys):
     [
         ("netlist", "--component", "cu-pillar", "--title", "é"),
         ("dictionary", "--format", "json"),
-        # Its edges span three batches of rows.
+        # Its edges and positions go out as 128 pieces each, one per lattice row.
         ("gen-map", "--kind", "hexagonal", "--rows", "128", "--cols", "128", "--pitch-um", "20",
          "--blocks", "16"),
         ("diagnose", "--report", "{report}"),
@@ -496,10 +497,21 @@ def test_gen_map_equals_the_listed_payload(capsys, kind, rows, cols, pitch):
                 assert out == want, case
 
 
-@pytest.mark.parametrize("pitch", [20, 7.3])
-@pytest.mark.parametrize("factor", [1.0, 1.9, 2.0])
-@pytest.mark.parametrize("rows,cols", [(1, 40), (40, 1), (3, 3), (7, 9)])
-@pytest.mark.parametrize("kind", ["hexagonal", "rectangular"])
+@pytest.mark.parametrize(
+    "kind, rows, cols, factor, pitch",
+    [
+        (kind, rows, cols, factor, pitch)
+        for kind, (rows, cols), factor, pitch in itertools.chain(
+            itertools.product(
+                ["hexagonal", "rectangular"], [(1, 40), (40, 1), (3, 3), (7, 9)],
+                [1.0, 1.9, 2.0], [20, 7.3],
+            ),
+            # Rings that reach 3 rows down, so the edge writer's id window
+            # holds 4 rows and shifts by one.
+            itertools.product(["hexagonal", "rectangular"], [(40, 1)], [3.0, math.sqrt(12)], [20]),
+        )
+    ],
+)
 def test_gen_map_builds_the_campaign_map(capsys, kind, rows, cols, factor, pitch):
     # gen-map composes the map steps itself; it must agree with
     # build_campaign_map, in the map or in the one error line and exit code.
@@ -1266,25 +1278,53 @@ def test_an_unlisted_type_takes_the_json_dumps_path(fallbacks, document, unliste
     assert [(type(value), value) for value in fallbacks] == [(type(unlisted), unlisted)]
 
 
+def _grouped(columns, size):
+    """The rows of ``columns`` in groups of ``size``, an empty group before each and last."""
+    empty = tuple([] for _ in columns)
+    for start in range(0, len(columns[0]), size):
+        yield empty
+        yield tuple(column[start : start + size] for column in columns)
+    yield empty
+
+
+@pytest.mark.parametrize("size", [1, 3, None], ids=["size-1", "size-3", "whole"])
+@pytest.mark.parametrize("count", [0, 1, 2, 1000])
 @pytest.mark.parametrize("width", [1, 2])
-def test_text_rows_equal_their_listed_rows_across_batches(tmp_path, width):
-    from chipletbist.canonical import _BATCH_ROWS, _TextRows
+def test_text_rows_equal_their_listed_rows_in_any_grouping(tmp_path, width, count, size):
+    from chipletbist.canonical import _TextRows
     from chipletbist.cli import _write_json
 
-    batch = _BATCH_ROWS
+    listed = [[k, f"é{k}"][:width] for k in range(count)]
+    columns = [[json.dumps(row[i], ensure_ascii=False) for row in listed] for i in range(width)]
+    size = size or max(count, 1)
+    # An int key and an int subclass beside the rows go to json.dumps.
+    others = {"z": [1], "n": {1: 2}, "i": [_Int(3)]}
+    want = json.dumps(
+        {"rows": listed, **others}, sort_keys=True, indent=2, ensure_ascii=False
+    ) + "\n"
+    # The groups arrive once, so each write gets its own.
+    assert canonical_json({"rows": _TextRows(_grouped(columns, size), count), **others}) == want
     out_path = tmp_path / "rows.json"
-    for count in (0, 1, batch - 1, batch, batch + 1, 2 * batch + 1):
-        listed = [[k, f"é{k}"][:width] for k in range(count)]
-        columns = [[json.dumps(row[i], ensure_ascii=False) for row in listed] for i in range(width)]
-        # An int key and an int subclass beside the rows go to json.dumps.
-        others = {"z": [1], "n": {1: 2}, "i": [_Int(3)]}
-        document = {"rows": _TextRows(*columns), **others}
-        want = json.dumps(
-            {"rows": listed, **others}, sort_keys=True, indent=2, ensure_ascii=False
-        ) + "\n"
-        assert canonical_json(document) == want, count
-        _write_json(document, str(out_path))
-        assert out_path.read_bytes() == want.encode("utf-8"), count
+    _write_json({"rows": _TextRows(_grouped(columns, size), count), **others}, str(out_path))
+    assert out_path.read_bytes() == want.encode("utf-8")
+
+
+def test_gen_map_streams_edges_and_positions_by_lattice_row(capsys, monkeypatch):
+    # A piece per lattice row: no piece holds a whole column of the map.
+    import chipletbist.cli as cli
+    from chipletbist.canonical import stream_json
+
+    argv = ["gen-map", "--kind", "hexagonal", "--rows", "64", "--cols", "64", "--pitch-um", "20"]
+    listed = json.loads(run_cli(capsys, *argv)[1])
+    documents = []
+    monkeypatch.setattr(cli, "_write_json", lambda document, out: documents.append(document))
+    assert main(argv) == 0
+    for key in ("edges", "positions"):
+        pieces = []
+        stream_json(documents[0][key], pieces.append)
+        assert max(map(len, pieces)) < 64 * 1024, key
+        want = json.dumps(listed[key], indent=2, ensure_ascii=False) + "\n"
+        assert "".join(pieces) == want, key
 
 
 @pytest.mark.skipif(
