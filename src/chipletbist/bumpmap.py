@@ -4,12 +4,13 @@ The package I/O bumps sit on a rectangular or hexagonal (close-packed)
 lattice.  Bumps whose lattice distance is at most the short radius can
 short against each other and form the potential-short adjacency graph.  On
 a regular lattice that distance depends only on a pair's row and column
-offsets and, on a hexagonal lattice, on the lower bump's row parity.  So
-each such offset class is decided once, exactly, in integers, from the pitch
+offsets and, on a hexagonal lattice, on the lower bump's row parity, and a
+disc meets each lattice row in one run of columns.  So each row offset's
+run is decided once per row parity, exactly, in integers, from the pitch
 and the radius taken as the exact values of their doubles: a radius on a
 ring of the lattice holds the whole ring, and no pair is ever tested on its
-rounded positions.  The graph keeps only the accepted classes and
-answers neighbours, degrees, edges and the edge count by arithmetic on (row,
+rounded positions.  The graph keeps only these runs and answers
+neighbours, degrees, edges and the edge count by arithmetic on (row,
 column); no list over the map's edges or bumps is built.  A proper
 4-coloring of the graph decides which of the four test codewords each bump
 receives: greedy coloring runs row by row until its colors repeat with the
@@ -182,53 +183,50 @@ class AdjacencyGraph:
 class _LatticeGraph(AdjacencyGraph):
     """The potential-short graph of a lattice map, answered by arithmetic.
 
-    It keeps the (dr, dc) offset classes :func:`potential_short_graph`
-    accepts, per row parity, and ``depth``, their largest dr; every pair of
-    a class is an edge.  Bump (r, c) meets (r + dr, c + dc) through every
-    accepted class that fits the map, so nothing is stored per bump or edge.
+    It keeps the runs (dr, first, last) :func:`potential_short_graph`
+    decides, per row parity, in ascending id order: a bump (r, c) meets
+    every (r + dr, c + dc) on the map with first <= dc <= last for each run
+    of its row's parity, so nothing is stored per bump or edge.
     """
 
-    def __init__(
-        self, lattice: Lattice, short_radius_um: float, offsets: tuple[list, list], depth: int
-    ) -> None:
+    def __init__(self, lattice: Lattice, short_radius_um: float, runs: tuple[list, list]) -> None:
         rows, cols = self._rows, self._cols = lattice.rows, lattice.cols
         self.short_radius_um = short_radius_um
         self.id_bound = rows * cols
-        # Each parity's offsets in (dr, dc) order, which is ascending id:
-        # (first, end) row and column it fits, and id offset.
-        self._offsets = tuple(
-            [
-                (max(0, -dr), rows - max(0, dr), max(0, -dc), cols - max(0, dc), dr * cols + dc)
-                for dr, dc in sorted(table)
-            ]
-            for table in offsets
-        )
-        self._above = tuple([o for o in table if o[4] > 0] for table in self._offsets)
-        # Rows of one parity open the same classes, so greedy colors that
+        self._runs = runs
+        self._above = tuple([run for run in table if run[:2] > (0, 0)] for table in runs)
+        depth = max((dr for table in runs for dr, _, _ in table), default=0)
+        # Rows of one parity open the same runs, so greedy colors that
         # repeat over greedy's row period repeat to the last row.
         self.period = (_TILING_ROWS[lattice.kind] * cols, (depth + 1) * cols)
         self.sorted_edges = _LatticeEdges(self)
 
-    def _partners(self, bump: int, tables: tuple[list, list]) -> tuple[int, ...]:
-        """The bump's partners, ascending, through the offsets of its row's parity."""
-        r, c = divmod(bump, self._cols)
-        if not 0 <= r < self._rows:
+    def _partners(self, bump: int, runs: tuple[list, list]) -> tuple[int, ...]:
+        """The bump's partners, ascending, through the runs of its row's parity."""
+        rows, cols = self._rows, self._cols
+        r, c = divmod(bump, cols)
+        if not 0 <= r < rows:
             return ()
-        return tuple(
-            bump + delta
-            for r_lo, r_end, c_lo, c_end, delta in tables[r % 2]
-            if r_lo <= r < r_end and c_lo <= c < c_end
-        )
+        # The column offsets on the map; conditionals clip faster than max and min.
+        lo, hi = -c, cols - 1 - c
+        partners: list[int] = []
+        for dr, first, last in runs[r % 2]:
+            if 0 <= r + dr < rows:
+                start = bump + dr * cols
+                partners += range(
+                    start + (first if first > lo else lo), start + (last if last < hi else hi) + 1
+                )
+        return tuple(partners)
 
     def neighbors(self, bump: int) -> tuple[int, ...]:
-        return self._partners(bump, self._offsets)
+        return self._partners(bump, self._runs)
 
 
 class _LatticeEdges(Sequence):
     """A lattice graph's ``sorted_edges``: read-only, computed on request.
 
     A row's edges depend only on its parity and on how many rows below it a
-    class can reach.  So the edges of a row of each such kind are found when
+    run can reach.  So the edges of a row of each such kind are found when
     a row of that kind is first asked for, as id offsets from the row's
     first bump, and every row of that kind is those offsets moved to its own
     start.  :meth:`row_patterns` yields each row as its first id and that
@@ -317,21 +315,24 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     as the exact values of their doubles, and the hexagonal row step as
     exactly pitch*sqrt(3)/2, not as rounded positions.  In units
     of pitch**2/4, the squared distance of row offset dr and column offset
-    dc is 4*(dc**2 + dr**2) on a rectangular lattice and
-    (2*dc + s)**2 + 3*dr**2 on a hexagonal one, where s is 0 for an even dr
-    and +1 or -1 for an odd dr from an even or an odd row.  So each offset
-    class (dr, dc, lower row parity) is decided once, in integers: with
-    pitch = pn/pd and radius = rn/rd, it is all edges when
-    quarters*(pn*rd)**2 <= 4*(rn*pd)**2 and none otherwise.  A radius on a
-    ring of the lattice (a factor of 1, 2 or 3, say) holds the whole ring.
-    math.sqrt(3.0) lies just below sqrt(3), so that factor leaves the
-    sqrt(3) ring out whole, unless its product with the pitch rounds up
-    past sqrt(3)*pitch (it does at pitch 3, not at 20 or 7.3).
+    dc is (2*dc + s)**2 + w*dr**2, where w is 4 on a rectangular lattice and
+    3 on a hexagonal one, and s is 0 except for an odd dr on a hexagonal
+    lattice, where it is +1 from a bump in an even row and -1 from one in an
+    odd row, for either sign of dr.  With
+    pitch = pn/pd and radius = rn/rd, the pair is within the radius when
+    that distance is at most quarters_max = 4*(rn*pd)**2 // (pn*rd)**2.  So
+    for each row offset and row parity the partners form one run of column
+    offsets, |2*dc + s| <= isqrt(quarters_max - w*dr**2), decided once, in
+    integers.  A radius on a ring of the lattice (a factor of 1, 2 or 3,
+    say) holds the whole ring.  math.sqrt(3.0) lies just below sqrt(3), so
+    that factor leaves the sqrt(3) ring out whole, unless its product with
+    the pitch rounds up past sqrt(3)*pitch (it does at pitch 3, not at 20
+    or 7.3).
 
     The radius must be positive with a normal, finite square.
-    The returned graph holds the accepted classes, not the pairs, so
-    building it costs the number of classes within the radius, not of
-    edges.
+    The returned graph holds at most two runs per row offset and parity,
+    not the pairs, so building it costs the number of rows within the
+    radius, not of edges.
     """
     limit = short_radius_um * short_radius_um
     if not short_radius_um > 0 or not sys.float_info.min <= limit <= sys.float_info.max:
@@ -343,28 +344,24 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     (pn, pd), (rn, rd) = lattice.pitch_um.as_integer_ratio(), short_radius_um.as_integer_ratio()
     # The largest squared distance within the radius, in units of pitch**2/4.
     quarters_max = 4 * (rn * pd) ** 2 // (pn * rd) ** 2
-    # Every class within it has 3*dr**2 <= quarters_max and 2*|dc| - 1 <= isqrt(quarters_max).
-    dr_max = min(lattice.rows - 1, math.isqrt(quarters_max // 3))
-    dc_max = min(lattice.cols - 1, (math.isqrt(quarters_max) + 1) // 2)
     hexagonal = lattice.kind is LatticeKind.HEXAGONAL
-    # Per row parity, the classes a bump opens as the lower bump and, reversed,
-    # those its lower partners open; dr ascends, so the last one is the depth.
-    offsets: tuple[list, list] = ([], [])
-    depth = 0
-    for dr in range(dr_max + 1):
-        for dc in range(-dc_max if dr else 1, dc_max + 1):
-            for parity in (0, 1):
-                if hexagonal:
-                    # An odd dr puts the partner half a pitch right of an
-                    # even row's bump and half a pitch left of an odd row's.
-                    quarters = (2 * dc + (1 - 2 * parity) * (dr % 2)) ** 2 + 3 * dr * dr
-                else:
-                    quarters = 4 * (dc * dc + dr * dr)
-                if quarters <= quarters_max:
-                    offsets[parity].append((dr, dc))
-                    offsets[(parity + dr) % 2].append((-dr, -dc))
-                    depth = dr
-    return _LatticeGraph(lattice, short_radius_um, offsets, depth)
+    row_weight = 3 if hexagonal else 4
+    dr_max = min(lattice.rows - 1, math.isqrt(quarters_max // row_weight))
+    dc_bound = lattice.cols - 1
+    # Per row parity, each row offset's run (dr, first, last) of column
+    # offsets, clipped to the map, in ascending id order; dr = 0 leaves the
+    # bump out.  Empty runs are dropped, so the deepest one kept sets ``period``.
+    runs: tuple[list, list] = ([], [])
+    for parity, table in enumerate(runs):
+        for dr in range(-dr_max, dr_max + 1):
+            # An odd dr puts a hexagonal partner half a pitch right of an
+            # even row's bump and half a pitch left of an odd row's.
+            s = (1 - 2 * parity) * (dr % 2) if hexagonal else 0
+            reach = math.isqrt(quarters_max - row_weight * dr * dr)
+            first, last = max(-dc_bound, -((reach + s) // 2)), min(dc_bound, (reach - s) // 2)
+            split = [(0, first, -1), (0, 1, last)] if dr == 0 else [(dr, first, last)]
+            table += [run for run in split if run[1] <= run[2]]
+    return _LatticeGraph(lattice, short_radius_um, runs)
 
 
 def _tiled(head: list[Color], tile: list[Color], count: int) -> tuple[Color, ...]:

@@ -282,4 +282,6 @@ def load_samples_csv(path: str | Path) -> list[tuple[float, float]]:
                     raise ParameterError(f"{path}:{line_no}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), in the header or a row
+        raise ParameterError(f"{path}:{reader.line_num}: {exc}") from None
     return samples

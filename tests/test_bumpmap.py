@@ -215,10 +215,13 @@ def reference_edges(bump_map, factor):
 @pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("pitch", [20.0, 1 / 3, 7.3])
 @pytest.mark.parametrize(
-    "factor", [0.5, 1.0, math.sqrt(2.0), 1.5, math.sqrt(3.0), 1.9, 2.0, 2.5, 3.0]
+    "factor",
+    [0.5, 1.0, math.sqrt(2.0), 1.5, math.sqrt(3.0), 1.9, 2.0, 2.5, 3.0, 4.5, math.sqrt(13.0), 7.0],
 )
 def test_short_graph_matches_all_pairs_scan(kind, pitch, factor):
-    for rows, cols in [(1, 1), (1, 9), (9, 1), (6, 7), (20, 20)]:
+    # Past a factor of 3 the runs of the thin and small maps are clipped to
+    # their columns on both sides.
+    for rows, cols in [(1, 1), (1, 9), (9, 1), (2, 9), (9, 2), (3, 3), (6, 7), (20, 20)]:
         bump_map = build_bump_map(Lattice(kind, rows, cols, pitch))
         graph = potential_short_graph(bump_map, factor * pitch)
         assert graph.edges == reference_edges(bump_map, factor), (rows, cols)

@@ -857,6 +857,17 @@ def test_fit_non_utf8_csv_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text,line", [("x,{field}\n1,2\n", 1), ("x,y\n1,2\n3,{field}\n", 3)], ids=["header", "row"]
+)
+def test_fit_overlong_csv_field_exits_1(tmp_path, capsys, text, line):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text(text.format(field="1" * 131073), encoding="utf-8")
+    status, out, err = run_cli(capsys, "fit", "--csv", str(csv_path), "--family", "exponential")
+    assert_one_line_error(status, out, err)
+    assert err == f"error: {csv_path}:{line}: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize(
     "rows,family",
     [
         (["1,1e300", "2,1e200"], "exponential"),
@@ -879,6 +890,29 @@ def test_gen_map_oversized_lattice_exits_1(capsys):
             "--pitch-um", "20",
         )
     )
+
+
+def test_gen_map_far_radius_is_refused_in_256_mib(tmp_path):
+    # At factor 600 most of the map lies within the radius of each bump.
+    # Greedy needs a 5th color at the fifth bump, and the graph's runs
+    # grow with the rows the radius spans, not with the pairs within it.
+    pytest.importorskip("resource")
+    out_path = tmp_path / "map.json"
+    argv = ["gen-map", "--kind", "hexagonal", "--rows", "512", "--cols", "512",
+            "--pitch-um", "20", "--radius-factor", "600", "--out", str(out_path)]
+    code = (
+        "import resource, sys\n"
+        "cap = 256 << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from chipletbist.cli import main\n"
+        f"sys.exit(main({argv!r}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=SUBPROCESS_ENV, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
+    assert proc.stderr == b"simulation error: coloring failed: greedy needs a 5th color\n"
+    assert not out_path.exists()
 
 
 def test_running_out_of_memory_exits_1_in_one_line(capsys, monkeypatch):

@@ -18,7 +18,7 @@ import io
 import json
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from chipletbist.campaign import parse_config, rediagnose_report, run_campaign
@@ -261,8 +261,14 @@ def test_diagnose_on_revalued_report_exits_0_1_or_2(tmp_path_factory, data):
 SAMPLES_CSV = Path(__file__).resolve().parents[1] / "configs" / "synthetic_bridge_severity.csv"
 
 
+# A field longer than csv's 131072-character limit, in the header and in a row.
+OVERLONG_FIELD = b"1" * 131073
+
+
 @settings(FUZZ, max_examples=100)
 @given(data=fuzzed_bytes([SAMPLES_CSV.read_bytes()]))
+@example(data=b"x," + OVERLONG_FIELD + b"\n1,2\n")
+@example(data=b"x,y\n1,2\n3," + OVERLONG_FIELD + b"\n")
 def test_load_samples_csv_raises_only_parameter_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "samples.csv"
     path.write_bytes(data)
