@@ -175,6 +175,9 @@ class AdjacencyGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.neighbors(a)
 
+    def _lower_neighbors(self, bump: int) -> Iterable[int]:  # the ones greedy has colored
+        return [n for n in self.neighbors(bump) if n < bump]
+
     @property
     def edge_count(self) -> int:
         return len(self.sorted_edges)
@@ -195,6 +198,7 @@ class _LatticeGraph(AdjacencyGraph):
         self.id_bound = rows * cols
         self._runs = runs
         self._above = tuple([run for run in table if run[:2] > (0, 0)] for table in runs)
+        self._below = tuple([run for run in table if run[:2] < (0, 0)] for table in runs)
         depth = max((dr for table in runs for dr, _, _ in table), default=0)
         # Rows of one parity open the same runs, so greedy colors that
         # repeat over greedy's row period repeat to the last row.
@@ -220,6 +224,9 @@ class _LatticeGraph(AdjacencyGraph):
 
     def neighbors(self, bump: int) -> tuple[int, ...]:
         return self._partners(bump, self._runs)
+
+    def _lower_neighbors(self, bump: int) -> tuple[int, ...]:
+        return self._partners(bump, self._below)
 
 
 class _LatticeEdges(Sequence):
@@ -385,7 +392,7 @@ def _greedy_coloring(bump_count: int, graph: AdjacencyGraph) -> tuple[Color, ...
         if shift and b % shift == 0 and b >= shift + window:
             if assigned[b - window :] == assigned[b - window - shift : b - shift]:
                 return _tiled(assigned, assigned[b - shift :], bump_count)
-        used = {assigned[n] for n in graph.neighbors(b) if n < b}
+        used = {assigned[n] for n in graph._lower_neighbors(b)}
         for color in COLOR_ORDER:
             if color not in used:
                 break

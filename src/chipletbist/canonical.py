@@ -27,16 +27,12 @@ _SCALAR_TEXT = {
 
 
 class _TextRows:
-    """A list of equal-length scalar lists that arrives group by group: each
-    group holds the columns of JSON texts of some consecutive lists
-    (``group[i][k]`` is item i of the group's list k), and ``count`` is the
-    number of lists in all.  Only ``_write`` reads it, once."""
+    """A list that arrives row by row as JSON text: ``rows(inner)`` yields
+    each row's items joined for a list whose item lines start with ``inner``
+    (``"," + inner`` between two), or "" for a row with none."""
 
-    def __init__(self, groups: Iterable[tuple[list[str], ...]], count: int) -> None:
-        self.groups, self.count = groups, count
-
-    def __len__(self) -> int:
-        return self.count
+    def __init__(self, rows: Callable[[str], Iterable[str]]) -> None:
+        self.rows = rows
 
 
 def canonical_json(obj: Any) -> str:
@@ -44,7 +40,7 @@ def canonical_json(obj: Any) -> str:
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"``, with a ``_TextRows`` written as the list
-    of scalar lists it stands for: the join of ``stream_json``'s pieces."""
+    it stands for: the join of ``stream_json``'s pieces."""
     chunks: list[str] = []
     stream_json(obj, chunks.append)
     return "".join(chunks)
@@ -62,10 +58,11 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
     lines start with ``newline``.  ``json`` indents with its pure-Python
     encoder, so this walks the kit's own types itself: a dict with str keys
     key by key, a list or tuple of one exact scalar type in one join, any
-    other list or tuple item by item, a scalar of exact type (``str``,
-    ``int``, ``float``, ``bool``, ``None``) as ``json`` writes it.  Any other
-    value (a subclass, an unknown object, a dict whose first sorted key is
-    not a str: sorting fails on a str beside any other key) goes to _dump."""
+    other list or tuple item by item, a ``_TextRows`` one piece per row, a
+    scalar of exact type (``str``, ``int``, ``float``, ``bool``, ``None``)
+    as ``json`` writes it.  Any other value (a subclass, an unknown object,
+    a dict whose first sorted key is not a str: sorting fails on a str
+    beside any other key) goes to _dump."""
     kind = type(value)
     text = _SCALAR_TEXT.get(kind)
     if text:
@@ -94,22 +91,13 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
         emit(newline + "}")
         return
     if kind is _TextRows:
-        # One piece per group, so at most one is held beside its bytes: each
-        # list its opener, then its columns' texts with a separator between.
-        deeper = inner + "  "
-        opener, between = f"{head}[{inner}[{deeper}", f"{inner}],{inner}[{deeper}"
-        for columns in value.groups:
-            count, width = len(columns[0]), 2 * len(columns)
-            if not count:
-                continue
-            pieces = ["," + deeper] * (width * count)
-            pieces[::width] = [between] * count
-            pieces[0] = opener
-            for i, column in enumerate(columns):
-                pieces[2 * i + 1 :: width] = column
-            emit("".join(pieces))
-            opener = between
-        emit(f"{inner}]{newline}]")
+        # One piece per row that holds items; with none, the list is empty.
+        opener = head + "[" + inner
+        for text in value.rows(inner):
+            if text:
+                emit(opener + text)
+                opener = separator
+        emit(newline + "]" if opener is separator else head + "[]")
         return
     types = set(map(type, value))
     text = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None

@@ -11,11 +11,12 @@ import argparse
 import json
 import sys
 from importlib import import_module
-from itertools import islice
-from operator import attrgetter
+from functools import partial
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
 
 from . import _EXPORTS, __version__
-from .canonical import SCHEMA_VERSION, _TextRows, stream_json
+from .canonical import SCHEMA_VERSION, _encode_str, _TextRows, stream_json
 from .errors import KitError, ParameterError, SimulationError
 from .kinds import (
     DEFAULT_SHORT_RADIUS_FACTOR,
@@ -114,6 +115,7 @@ def _cmd_gen_map(args) -> int:
     bump_map = build_bump_map(lattice)
     graph = potential_short_graph(bump_map, args.radius_factor * args.pitch_um)
     bump_map = partition_blocks(assign_codewords(bump_map, graph), args.blocks)
+    cols, shift = lattice.cols, graph.period[0] // lattice.cols
     payload = {
         "version": SCHEMA_VERSION,
         "lattice": {
@@ -123,33 +125,64 @@ def _cmd_gen_map(args) -> int:
             "pitch_um": lattice.pitch_um,
         },
         "short_radius_um": graph.short_radius_um,
-        "positions": _TextRows(_position_rows(lattice), lattice.bump_count),
-        "colors": list(map(attrgetter("_value_"), bump_map.coloring)),
-        "blocks": bump_map.blocks,
+        "positions": _TextRows(partial(_position_rows, lattice)),
+        # Greedy's colors repeat over its row period, the column bands every row.
+        "colors": _TextRows(partial(_flat_rows, bump_map.coloring, cols, shift, _color_texts)),
+        "blocks": _TextRows(partial(_flat_rows, bump_map.blocks, cols, 1, partial(map, int.__repr__))),
         "block_count": bump_map.block_count,
-        "edges": _TextRows(_edge_rows(graph, lattice), len(graph.sorted_edges)),
+        "edges": _TextRows(partial(_edge_rows, graph, lattice)),
     }
     _write_json(payload, args.out)
     return 0
 
 
-def _position_rows(lattice):
-    """Each lattice row's x and y texts: rows of one parity share their x."""
+def _color_texts(row):
+    return map(_encode_str, map(attrgetter("_value_"), row))
+
+
+def _position_rows(lattice, inner):
+    """Each lattice row's positions as one text: its y text joined into the
+    split template of its row parity, which holds that parity's x texts."""
     from .bumpmap import lattice_coordinates
 
     xs, odd_xs, ys = lattice_coordinates(lattice)
-    row_xs = list(map(float.__repr__, xs)), list(map(float.__repr__, odd_xs))
+    deeper, between = inner + "  ", f"{inner}],{inner}["
+    templates = [
+        [f"{between if c else '['}{deeper}{x!r},{deeper}" for c, x in enumerate(row)] + [inner + "]"]
+        for row in (xs, odd_xs)
+    ]
     for r, y in enumerate(ys):
-        yield row_xs[r % 2], [float.__repr__(y)] * lattice.cols
+        yield repr(y).join(templates[r % 2])
 
 
-def _edge_rows(graph, lattice):
-    """Each lattice row's sorted edges as lower and upper id texts: each id is
-    formatted once, and only the ``period[1]`` ids a row can reach are held."""
+def _flat_rows(items, cols, period, texts, inner):
+    """Each lattice row of a per-bump list as one text of its items' ``texts``:
+    a row equal to the row ``period`` rows above it reuses that row's text."""
+    separator, kept = "," + inner, [((), "")] * period
+    for r, start in enumerate(range(0, len(items), cols)):
+        row = items[start : start + cols]
+        if kept[r % period][0] != row:
+            kept[r % period] = row, separator.join(texts(row))
+        yield kept[r % period][1]
+
+
+def _edge_rows(graph, lattice, inner):
+    """Each lattice row's sorted edges as one text.  Each id is formatted once,
+    only the ``period[1]`` ids a row can reach are held, and each row pattern
+    gets one separator list and one getter of its ids from that window."""
+    deeper, layouts = inner + "  ", {}
     texts = map(int.__repr__, range(lattice.bump_count))
     near = list(islice(texts, graph.period[1]))
     for _, low, up in graph.sorted_edges.row_patterns():
-        yield list(map(near.__getitem__, low)), list(map(near.__getitem__, up))
+        # row_patterns hands out one offset list per kind of row.
+        if low and id(low) not in layouts:
+            pieces = [f"{inner}],{inner}[{deeper}", "", f",{deeper}", ""] * len(low) + [inner + "]"]
+            pieces[0] = "[" + deeper
+            layouts[id(low)] = pieces, itemgetter(*chain.from_iterable(zip(low, up)))
+        if low:
+            pieces, ids = layouts[id(low)]
+            pieces[1::2] = ids(near)
+        yield "".join(pieces) if low else ""
         near = near[lattice.cols :] + list(islice(texts, lattice.cols))
 
 

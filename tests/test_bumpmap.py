@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -661,8 +662,8 @@ def test_lattice_coloring_is_the_greedy_coloring(kind, factor):
         graph = potential_short_graph(bump_map, factor * 7.3)
         reference = AdjacencyGraph(tuple(graph.sorted_edges))
         calls = []
-        counted = graph.neighbors
-        graph.neighbors = lambda bump: calls.append(bump) or counted(bump)
+        counted = graph._lower_neighbors
+        graph._lower_neighbors = lambda bump: calls.append(bump) or counted(bump)
         greedy = _greedy_coloring(bump_map.bump_count, graph)
         if graph.period is not None and greedy is not None and cols > 1:
             # The tiling shortcut ran: not every bump was colored one by one.
@@ -705,6 +706,22 @@ def test_lattice_coloring_fails_only_where_the_tiling_clashes_too():
                     tiling = periodic_tiling_coloring(bump_map.lattice)
                     assert coloring_violations(tiling, graph), case
     assert failed > 0
+
+
+def test_greedy_reads_only_the_lower_partners():
+    # At factor 600 most of hex 512x512 lies within each bump's radius, and
+    # greedy needs a 5th color at the fifth bump: it reads the partners below
+    # each bump, not the whole partner tuple.
+    bump_map = build_bump_map(hex_lattice(512, 512))
+    graph = potential_short_graph(bump_map, 600 * PITCH)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ColoringError):
+            assign_codewords(bump_map, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_default_factor_graphs_tile_their_colors():

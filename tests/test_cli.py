@@ -449,29 +449,31 @@ def test_gen_map_writes_valid_payload(tmp_path, capsys):
         assert colors[a] != colors[b]
 
 
-def _reference_map_document(kind, rows, cols, pitch, factor, blocks):
-    """The gen-map document as canonical_json writes the plain payload: the
-    edges as listed pairs and the positions as stored."""
-    spec = MapSpec(LatticeKind(kind), rows, cols, pitch, factor)
-    bump_map, graph = build_campaign_map(CampaignConfig(spec, blocks))
+def _materialized_map(bump_map, graph):
+    """The gen-map payload as plain lists: the edges as listed pairs and the
+    positions as stored."""
     lattice = bump_map.lattice
-    return canonical_json(
-        {
-            "version": 1,
-            "lattice": {
-                "kind": lattice.kind.value,
-                "rows": lattice.rows,
-                "cols": lattice.cols,
-                "pitch_um": lattice.pitch_um,
-            },
-            "short_radius_um": graph.short_radius_um,
-            "positions": bump_map.positions,
-            "colors": [c.value for c in bump_map.coloring],
-            "blocks": bump_map.blocks,
-            "block_count": bump_map.block_count,
-            "edges": list(graph.sorted_edges),
-        }
-    )
+    return {
+        "version": 1,
+        "lattice": {
+            "kind": lattice.kind.value,
+            "rows": lattice.rows,
+            "cols": lattice.cols,
+            "pitch_um": lattice.pitch_um,
+        },
+        "short_radius_um": graph.short_radius_um,
+        "positions": bump_map.positions,
+        "colors": [c.value for c in bump_map.coloring],
+        "blocks": bump_map.blocks,
+        "block_count": bump_map.block_count,
+        "edges": list(graph.sorted_edges),
+    }
+
+
+def _reference_map_document(kind, rows, cols, pitch, factor, blocks):
+    """The gen-map document as canonical_json writes the plain payload."""
+    spec = MapSpec(LatticeKind(kind), rows, cols, pitch, factor)
+    return canonical_json(_materialized_map(*build_campaign_map(CampaignConfig(spec, blocks))))
 
 
 @pytest.mark.parametrize("pitch", [20, 7.3, 3, 0.1, 1e-3])
@@ -538,6 +540,41 @@ def test_gen_map_builds_the_campaign_map(capsys, kind, rows, cols, factor, pitch
         assert payload["blocks"] == list(bump_map.blocks), blocks
         assert payload["edges"] == [list(edge) for edge in graph.sorted_edges], blocks
         assert payload["short_radius_um"] == graph.short_radius_um, blocks
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 40), (40, 1), (2, 2), (3, 3), (7, 9), (33, 17), (40, 2)])
+@pytest.mark.parametrize("kind", ["hexagonal", "rectangular"])
+def test_gen_map_streams_the_json_dumps_text(capsys, kind, rows, cols):
+    # The row texts gen-map hands the writer spell what json.dumps writes of
+    # the materialized map.  The sweep holds edgeless maps (factor 0.5),
+    # rows with exactly one edge (Nx1 at 1.0) and color rows that do not
+    # repeat over greedy's row period (hex Nx1).  The maps gen-map refuses
+    # are test_gen_map_builds_the_campaign_map's.
+    edge_counts, unrepeated = set(), False
+    for factor, pitch, blocks in itertools.product(
+        [0.5, 1.0, 1.9, 3.0, math.sqrt(12)], [20, 7.3], sorted({1, 3, cols})
+    ):
+        spec = MapSpec(LatticeKind(kind), rows, cols, float(pitch), factor)
+        try:
+            bump_map, graph = build_campaign_map(CampaignConfig(spec, blocks))
+        except KitError:
+            continue
+        status, out, err = run_cli(
+            capsys, "gen-map", "--kind", kind, "--rows", str(rows), "--cols", str(cols),
+            "--pitch-um", str(pitch), "--radius-factor", repr(factor), "--blocks", str(blocks),
+        )
+        case = (factor, pitch, blocks)
+        document = _materialized_map(bump_map, graph)
+        want = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert (status, err) == (0, ""), case
+        assert out == want, case
+        edge_counts.update(len(low) for _, low, _ in graph.sorted_edges.row_patterns())
+        shift = graph.period[0]
+        unrepeated |= bump_map.coloring[shift:] != bump_map.coloring[:-shift]
+    assert 0 in edge_counts
+    if cols == 1:
+        assert 1 in edge_counts
+        assert unrepeated
 
 
 def test_gen_map_holds_little_more_than_its_text(tmp_path):
@@ -1312,53 +1349,88 @@ def test_an_unlisted_type_takes_the_json_dumps_path(fallbacks, document, unliste
     assert [(type(value), value) for value in fallbacks] == [(type(unlisted), unlisted)]
 
 
-def _grouped(columns, size):
-    """The rows of ``columns`` in groups of ``size``, an empty group before each and last."""
-    empty = tuple([] for _ in columns)
-    for start in range(0, len(columns[0]), size):
-        yield empty
-        yield tuple(column[start : start + size] for column in columns)
-    yield empty
+def _text_rows(items, size):
+    """``items`` as a ``_TextRows`` of rows of ``size`` items, an empty row
+    before each and last, each item laid out by json.dumps."""
+    from chipletbist.canonical import _TextRows
+
+    def rows(inner):
+        texts = [json.dumps(item, indent=2, ensure_ascii=False).replace("\n", inner) for item in items]
+        for start in range(0, len(texts), size):
+            yield ""
+            yield ("," + inner).join(texts[start : start + size])
+        yield ""
+
+    return _TextRows(rows)
 
 
 @pytest.mark.parametrize("size", [1, 3, None], ids=["size-1", "size-3", "whole"])
 @pytest.mark.parametrize("count", [0, 1, 2, 1000])
-@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("width", [0, 1, 2], ids=["scalars", "width-1", "width-2"])
 def test_text_rows_equal_their_listed_rows_in_any_grouping(tmp_path, width, count, size):
-    from chipletbist.canonical import _TextRows
     from chipletbist.cli import _write_json
 
-    listed = [[k, f"é{k}"][:width] for k in range(count)]
-    columns = [[json.dumps(row[i], ensure_ascii=False) for row in listed] for i in range(width)]
-    size = size or max(count, 1)
+    listed = [[k, f"é{k}"][:width] if width else f"é{k}" for k in range(count)]
+    rows = _text_rows(listed, size or max(count, 1))
     # An int key and an int subclass beside the rows go to json.dumps.
     others = {"z": [1], "n": {1: 2}, "i": [_Int(3)]}
     want = json.dumps(
         {"rows": listed, **others}, sort_keys=True, indent=2, ensure_ascii=False
     ) + "\n"
-    # The groups arrive once, so each write gets its own.
-    assert canonical_json({"rows": _TextRows(_grouped(columns, size), count), **others}) == want
+    assert canonical_json({"rows": rows, **others}) == want
     out_path = tmp_path / "rows.json"
-    _write_json({"rows": _TextRows(_grouped(columns, size), count), **others}, str(out_path))
+    _write_json({"rows": rows, **others}, str(out_path))
     assert out_path.read_bytes() == want.encode("utf-8")
+    # A list one level deeper takes its rows joined for that level.
+    assert canonical_json([[rows]]) == json.dumps([[listed]], indent=2, ensure_ascii=False) + "\n"
 
 
-def test_gen_map_streams_edges_and_positions_by_lattice_row(capsys, monkeypatch):
+def _assert_streamed_by_row(capsys, monkeypatch, flags, keys):
     # A piece per lattice row: no piece holds a whole column of the map.
     import chipletbist.cli as cli
     from chipletbist.canonical import stream_json
 
-    argv = ["gen-map", "--kind", "hexagonal", "--rows", "64", "--cols", "64", "--pitch-um", "20"]
+    argv = ["gen-map", "--kind", "hexagonal", "--pitch-um", "20", *flags]
     listed = json.loads(run_cli(capsys, *argv)[1])
     documents = []
     monkeypatch.setattr(cli, "_write_json", lambda document, out: documents.append(document))
     assert main(argv) == 0
-    for key in ("edges", "positions"):
+    for key in keys:
         pieces = []
         stream_json(documents[0][key], pieces.append)
         assert max(map(len, pieces)) < 64 * 1024, key
         want = json.dumps(listed[key], indent=2, ensure_ascii=False) + "\n"
         assert "".join(pieces) == want, key
+
+
+def test_gen_map_streams_edges_and_positions_by_lattice_row(capsys, monkeypatch):
+    _assert_streamed_by_row(capsys, monkeypatch, ["--rows", "64", "--cols", "64"], ["edges", "positions"])
+
+
+def test_gen_map_streams_colors_and_blocks_by_lattice_row(capsys, monkeypatch):
+    flags = ["--rows", "128", "--cols", "128", "--blocks", "16"]
+    _assert_streamed_by_row(capsys, monkeypatch, flags, ["colors", "blocks"])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_gen_map_on_the_largest_map_peaks_under_30_mb(tmp_path):
+    # The resident peak of a whole gen-map process, interpreter included,
+    # on hex 512x512 with 16 blocks: no per-bump list is held as text whole.
+    argv = ["gen-map", "--kind", "hexagonal", "--rows", "512", "--cols", "512",
+            "--pitch-um", "20", "--blocks", "16", "--out", str(tmp_path / "map.json")]
+    code = (
+        "import sys\n"
+        "from chipletbist.cli import main\n"
+        f"status = main({argv!r})\n"
+        "with open('/proc/self/status') as handle:\n"
+        "    print(next(line for line in handle if line.startswith('VmHWM:')).split()[1])\n"
+        "sys.exit(status)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=SUBPROCESS_ENV, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 30 * 1024  # kB
 
 
 @pytest.mark.skipif(
