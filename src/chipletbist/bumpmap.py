@@ -13,9 +13,10 @@ rounded positions.  The graph keeps only these runs and answers
 neighbours, degrees, edges and the edge count by arithmetic on (row,
 column); no list over the map's edges or bumps is built.  A proper
 4-coloring of the graph decides which of the four test codewords each bump
-receives: greedy coloring runs row by row until its colors repeat with the
-lattice's row period, and that period is tiled to the last row.  Contiguous
-column bands split the map into sequentially tested blocks.
+receives: greedy coloring runs row by row until the colors below a row
+repeat the colors below an earlier row of its parity, and the rows from that
+earlier one are tiled to the last row.  Contiguous column bands split the
+map into sequentially tested blocks.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ from .record import Record
 MAX_BUMPS = 512 * 512
 
 
-# Rows in greedy's color period on a lattice graph: a multiple of the two row
-# parities, over which its colors at the default radius repeat.
-_TILING_ROWS = {LatticeKind.HEXAGONAL: 4, LatticeKind.RECTANGULAR: 2}
-
-
 class Color(Enum):
     """Codeword color classes; the drive patterns live in the BIST engine."""
 
@@ -51,6 +47,9 @@ class Color(Enum):
     BLUE = "blue"
     RED = "red"
     BLACK = "black"
+
+    # Members are singletons, so equality is identity; Enum's own hash runs in Python.
+    __hash__ = object.__hash__
 
 
 COLOR_ORDER = (Color.GREEN, Color.BLUE, Color.RED, Color.BLACK)
@@ -136,8 +135,8 @@ class AdjacencyGraph:
     arithmetic on (row, column).
     """
 
-    # None, or (shift, window): each bump b >= shift + window has the lower
-    # neighbours of b - shift, moved up by shift, all within window below b.
+    # None, or (shift, window): each bump b >= window has its lower neighbours
+    # at offsets below b that depend only on b % shift, all within window.
     period: tuple[int, int] | None = None
 
     def __init__(
@@ -200,9 +199,8 @@ class _LatticeGraph(AdjacencyGraph):
         self._above = tuple([run for run in table if run[:2] > (0, 0)] for table in runs)
         self._below = tuple([run for run in table if run[:2] < (0, 0)] for table in runs)
         depth = max((dr for table in runs for dr, _, _ in table), default=0)
-        # Rows of one parity open the same runs, so greedy colors that
-        # repeat over greedy's row period repeat to the last row.
-        self.period = (_TILING_ROWS[lattice.kind] * cols, (depth + 1) * cols)
+        # Rows of one parity open the same runs, on both kinds.
+        self.period = (2 * cols, (depth + 1) * cols)
         self.sorted_edges = _LatticeEdges(self)
 
     def _partners(self, bump: int, runs: tuple[list, list]) -> tuple[int, ...]:
@@ -380,18 +378,21 @@ def _tiled(head: list[Color], tile: list[Color], count: int) -> tuple[Color, ...
 def _greedy_coloring(bump_count: int, graph: AdjacencyGraph) -> tuple[Color, ...] | None:
     """Smallest-available color in bump-id order; None if a 5th color is needed.
 
-    On a graph with a ``period`` (shift, window), a bump's color follows
-    from the colors of the window below it as the color shift ids earlier
-    follows from its window.  So once, at a multiple of shift, the last
-    window of colors repeats the one shift earlier, every later color
-    repeats too, and the last shift colors are tiled to the end.
+    On a graph with a ``period`` (shift, window), the color of a bump at
+    least window ids up follows from its id modulo shift and the colors of
+    the window below it.  So once, at a multiple of shift, the last window
+    of colors repeats the window below an earlier such multiple, every later
+    color repeats the colors from that earlier start, and they are tiled to
+    the end.
     """
     shift, window = graph.period or (0, 0)
     assigned: list[Color] = []
+    starts: dict[tuple[Color, ...], int] = {}
     for b in range(bump_count):
-        if shift and b % shift == 0 and b >= shift + window:
-            if assigned[b - window :] == assigned[b - window - shift : b - shift]:
-                return _tiled(assigned, assigned[b - shift :], bump_count)
+        if shift and b % shift == 0 and b >= window:
+            start = starts.setdefault(tuple(assigned[b - window :]), b)
+            if start < b:
+                return _tiled(assigned, assigned[start:], bump_count)
         used = {assigned[n] for n in graph._lower_neighbors(b)}
         for color in COLOR_ORDER:
             if color not in used:

@@ -57,12 +57,11 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
     """Emit ``head`` and then ``value`` as indented JSON, for a level whose
     lines start with ``newline``.  ``json`` indents with its pure-Python
     encoder, so this walks the kit's own types itself: a dict with str keys
-    key by key, a list or tuple of one exact scalar type in one join, any
-    other list or tuple item by item, a ``_TextRows`` one piece per row, a
-    scalar of exact type (``str``, ``int``, ``float``, ``bool``, ``None``)
-    as ``json`` writes it.  Any other value (a subclass, an unknown object,
-    a dict whose first sorted key is not a str: sorting fails on a str
-    beside any other key) goes to _dump."""
+    key by key, a list or tuple item by item, a ``_TextRows`` one piece per
+    row, a scalar of exact type (``str``, ``int``, ``float``, ``bool``,
+    ``None``) as ``json`` writes it.  Any other value (a subclass, an
+    unknown object, a dict whose first sorted key is not a str: sorting
+    fails on a str beside any other key) goes to _dump."""
     kind = type(value)
     text = _SCALAR_TEXT.get(kind)
     if text:
@@ -98,14 +97,6 @@ def _write(value: Any, newline: str, head: str, emit: Callable[[str], None]) -> 
                 emit(opener + text)
                 opener = separator
         emit(newline + "]" if opener is separator else head + "[]")
-        return
-    types = set(map(type, value))
-    text = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None
-    if text:
-        # Three pieces, so that the joined items are not copied once more.
-        emit(head + "[" + inner)
-        emit(separator.join(map(text, value)))
-        emit(newline + "]")
         return
     opener = head + "[" + inner
     for child in value:

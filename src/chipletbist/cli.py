@@ -115,7 +115,7 @@ def _cmd_gen_map(args) -> int:
     bump_map = build_bump_map(lattice)
     graph = potential_short_graph(bump_map, args.radius_factor * args.pitch_um)
     bump_map = partition_blocks(assign_codewords(bump_map, graph), args.blocks)
-    cols, shift = lattice.cols, graph.period[0] // lattice.cols
+    cols = lattice.cols
     payload = {
         "version": SCHEMA_VERSION,
         "lattice": {
@@ -126,9 +126,9 @@ def _cmd_gen_map(args) -> int:
         },
         "short_radius_um": graph.short_radius_um,
         "positions": _TextRows(partial(_position_rows, lattice)),
-        # Greedy's colors repeat over its row period, the column bands every row.
-        "colors": _TextRows(partial(_flat_rows, bump_map.coloring, cols, shift, _color_texts)),
-        "blocks": _TextRows(partial(_flat_rows, bump_map.blocks, cols, 1, partial(map, int.__repr__))),
+        # Greedy's colors repeat over its period of rows, the column bands every row.
+        "colors": _TextRows(partial(_flat_rows, bump_map.coloring, cols, _color_texts)),
+        "blocks": _TextRows(partial(_flat_rows, bump_map.blocks, cols, partial(map, int.__repr__))),
         "block_count": bump_map.block_count,
         "edges": _TextRows(partial(_edge_rows, graph, lattice)),
     }
@@ -155,15 +155,15 @@ def _position_rows(lattice, inner):
         yield repr(y).join(templates[r % 2])
 
 
-def _flat_rows(items, cols, period, texts, inner):
+def _flat_rows(items, cols, texts, inner):
     """Each lattice row of a per-bump list as one text of its items' ``texts``:
-    a row equal to the row ``period`` rows above it reuses that row's text."""
-    separator, kept = "," + inner, [((), "")] * period
-    for r, start in enumerate(range(0, len(items), cols)):
+    a row equal to any earlier row reuses that row's text."""
+    separator, known = "," + inner, {}
+    for start in range(0, len(items), cols):
         row = items[start : start + cols]
-        if kept[r % period][0] != row:
-            kept[r % period] = row, separator.join(texts(row))
-        yield kept[r % period][1]
+        if row not in known:
+            known[row] = separator.join(texts(row))
+        yield known[row]
 
 
 def _edge_rows(graph, lattice, inner):

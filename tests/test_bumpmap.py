@@ -654,9 +654,8 @@ def test_lattice_graph_answers_as_the_materialized_graph(kind, factor):
 @pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("factor", DIFFERENTIAL_FACTORS)
 def test_lattice_coloring_is_the_greedy_coloring(kind, factor):
-    # Maps with enough rows for the greedy colors to settle into the row
-    # period, where the lattice graph stops coloring and tiles (on 40x1 hex
-    # at 1.8 to 1.99 they repeat every 3 rows instead, and greedy runs on).
+    # Maps with enough rows for the greedy colors to settle into a period of
+    # rows, where the lattice graph stops coloring and tiles.
     for rows, cols in [(40, 1), (33, 17), (17, 33), (24, 24)]:
         bump_map = build_bump_map(Lattice(kind, rows, cols, 7.3))
         graph = potential_short_graph(bump_map, factor * 7.3)
@@ -665,11 +664,27 @@ def test_lattice_coloring_is_the_greedy_coloring(kind, factor):
         counted = graph._lower_neighbors
         graph._lower_neighbors = lambda bump: calls.append(bump) or counted(bump)
         greedy = _greedy_coloring(bump_map.bump_count, graph)
-        if graph.period is not None and greedy is not None and cols > 1:
+        if graph.period is not None and greedy is not None:
             # The tiling shortcut ran: not every bump was colored one by one.
             assert len(calls) < bump_map.bump_count, (rows, cols)
         assert greedy == _greedy_coloring(bump_map.bump_count, reference), (rows, cols)
         assert coloring_or_error(bump_map, graph) == coloring_or_error(bump_map, reference)
+
+
+def test_thin_maps_color_one_period_and_tile():
+    # No fixed count of rows is greedy's period on Nx1 maps (on hex at 1.9
+    # its colors repeat every 3 rows): greedy finds the period itself,
+    # colors a few rows and tiles the rest.
+    for kind, factor in [(LatticeKind.HEXAGONAL, 1.9), (LatticeKind.RECTANGULAR, 3.0)]:
+        bump_map = build_bump_map(Lattice(kind, 4096, 1, PITCH))
+        graph = potential_short_graph(bump_map, factor * PITCH)
+        reference = AdjacencyGraph(tuple(graph.sorted_edges))
+        calls = []
+        counted = graph._lower_neighbors
+        graph._lower_neighbors = lambda bump: calls.append(bump) or counted(bump)
+        greedy = _greedy_coloring(bump_map.bump_count, graph)
+        assert len(calls) < 64, kind
+        assert greedy == _greedy_coloring(bump_map.bump_count, reference), kind
 
 
 # Thin maps, hex Nx1 among them, and small squares from the 2x2 maps greedy

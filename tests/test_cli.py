@@ -18,7 +18,7 @@ import chipletbist
 from chipletbist.bumpmap import LatticeKind
 from chipletbist.campaign import CampaignConfig, MapSpec, build_campaign_map
 from chipletbist.canonical import canonical_json
-from chipletbist.cli import main
+from chipletbist.cli import _color_texts, _flat_rows, main
 from chipletbist.errors import KitError, SimulationError
 
 
@@ -547,10 +547,11 @@ def test_gen_map_builds_the_campaign_map(capsys, kind, rows, cols, factor, pitch
 def test_gen_map_streams_the_json_dumps_text(capsys, kind, rows, cols):
     # The row texts gen-map hands the writer spell what json.dumps writes of
     # the materialized map.  The sweep holds edgeless maps (factor 0.5),
-    # rows with exactly one edge (Nx1 at 1.0) and color rows that do not
-    # repeat over greedy's row period (hex Nx1).  The maps gen-map refuses
-    # are test_gen_map_builds_the_campaign_map's.
-    edge_counts, unrepeated = set(), False
+    # rows with exactly one edge (Nx1 at 1.0) and color rows that repeat a
+    # row further up than the one above (Nx1): each row equal to an earlier
+    # row is written as that row's very text.  The maps gen-map refuses are
+    # test_gen_map_builds_the_campaign_map's.
+    edge_counts, reused_far = set(), False
     for factor, pitch, blocks in itertools.product(
         [0.5, 1.0, 1.9, 3.0, math.sqrt(12)], [20, 7.3], sorted({1, 3, cols})
     ):
@@ -569,12 +570,16 @@ def test_gen_map_streams_the_json_dumps_text(capsys, kind, rows, cols):
         assert (status, err) == (0, ""), case
         assert out == want, case
         edge_counts.update(len(low) for _, low, _ in graph.sorted_edges.row_patterns())
-        shift = graph.period[0]
-        unrepeated |= bump_map.coloring[shift:] != bump_map.coloring[:-shift]
+        first = {}
+        for r, text in enumerate(_flat_rows(bump_map.coloring, cols, _color_texts, "\n    ")):
+            row = bump_map.coloring[r * cols : (r + 1) * cols]
+            earlier, earlier_text = first.setdefault(row, (r, text))
+            assert text is earlier_text, (case, r)
+            reused_far |= r - earlier > 1
     assert 0 in edge_counts
     if cols == 1:
         assert 1 in edge_counts
-        assert unrepeated
+        assert reused_far
 
 
 def test_gen_map_holds_little_more_than_its_text(tmp_path):
