@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any
 
 from .bist import (
-    NOMINAL_RESPONSE,
+    BlockTestReport,
     Bridge,
     BridgeBehavior,
     DetectorResponse,
@@ -42,10 +42,10 @@ from .canonical import SCHEMA_VERSION
 from .diagnosis import (
     BumpDiagnosis,
     Candidate,
+    FaultDictionary,
     build_fault_dictionary,
     diagnosability_ratio,
-    diagnose,  # noqa: F401  perfbench/tracer.py wraps it here by name
-    diagnose_bump,
+    diagnose,
 )
 from .errors import ParameterError
 from .kinds import DEFAULT_SHORT_RADIUS_FACTOR, LatticeKind
@@ -365,31 +365,27 @@ def diagnosis_to_dict(entry: BumpDiagnosis, block: int) -> dict:
 
 
 def diagnose_failing(
-    failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph, by_response
+    failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph, dictionary: FaultDictionary
 ) -> list[dict]:
     """Diagnosis entries of one fault's failing bumps, in (block, bump) order.
 
-    Every other bump of a block passed, so a same-block neighbor reads its
-    listed response or (1, 1); an other-block neighbor cannot be falsified.
-    ``by_response`` is the fault dictionary's table, ``FaultDictionary.by_response``.
+    Each failing block is one ``diagnose`` call on a report of its listed
+    responses: every other bump of that block passed.
     """
-    listed = {bump: response for _, bump, response in failing}
-
-    def observed(other: int) -> DetectorResponse | None:
-        # ``block`` is the loop's: the block of the bump being diagnosed.
-        return listed.get(other, NOMINAL_RESPONSE) if bump_map.blocks[other] == block else None
-
-    entries = []
-    for block, bump, response in sorted(failing):
-        entry = diagnose_bump(bump, response, observed, bump_map.coloring, graph, by_response)
-        entries.append(diagnosis_to_dict(entry, block))
-    return entries
+    by_block: dict[int, dict[int, DetectorResponse]] = {}
+    for block, bump, response in failing:
+        by_block.setdefault(block, {})[bump] = response
+    return [
+        diagnosis_to_dict(entry, block)
+        for block, listed in sorted(by_block.items())
+        for entry in diagnose(BlockTestReport(block, listed, {}), bump_map, graph, dictionary)
+    ]
 
 
-def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph, by_response) -> dict:
+def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph, dictionary) -> dict:
     """One fault's report entry, simulated and diagnosed fault-locally."""
     failing = fault_local_failing(bump_map, fault)
-    diagnosis = diagnose_failing(failing, bump_map, graph, by_response)
+    diagnosis = diagnose_failing(failing, bump_map, graph, dictionary)
     wire = fault_to_dict(fault)
     # A candidate names the fault when it matches the fault's wire form
     # with the bridge behavior folded away.
@@ -421,11 +417,12 @@ def run_campaign(config: CampaignConfig) -> dict:
     Every fault is simulated on its own (single-fault assumption), so results
     are independent of fault-list order.  Each fault is simulated and
     diagnosed fault-locally: only the one or two nets it touches are
-    resolved, and only its failing bumps are matched.  The result equals
-    running the full-map ``run_block_test`` and ``diagnose`` on every block,
-    at a per-fault cost independent of the map size.  The map build is not:
-    the colors, blocks and block sizes each take a pass over the bumps (the
-    short graph and the greedy rows do not, and no position is computed).
+    resolved, and ``diagnose`` runs on each failing block's listed responses.
+    The result equals the full-map ``run_block_test`` and ``diagnose`` on
+    every block, at a per-fault cost independent of the map size.  The map
+    build is not: the colors, blocks and block sizes each take a pass over
+    the bumps (the short graph and the greedy rows do not, and no position
+    is computed).
     The metrics are counts over the finished fault results.
     """
     bump_map, graph = build_campaign_map(config)
@@ -440,7 +437,7 @@ def run_campaign(config: CampaignConfig) -> dict:
 
     dictionary = build_fault_dictionary()
     numerator, denominator = diagnosability_ratio(dictionary)
-    fault_results = [_fault_result(f, bump_map, graph, dictionary.by_response) for f in faults]
+    fault_results = [_fault_result(f, bump_map, graph, dictionary) for f in faults]
     overhead = overhead_report(bump_map)
 
     detected = sum(result["detected"] for result in fault_results)
@@ -551,9 +548,9 @@ def rediagnose_report(report: dict) -> dict:
             + ", ".join(f"{key} {value}" for key, value in expected_map.items())
             + ")"
         )
-    by_response = build_fault_dictionary().by_response
+    dictionary = build_fault_dictionary()
     diagnoses = []
     for i, result in enumerate(report["fault_results"]):
         failing = _failing_from_dict(result, f"report.fault_results[{i}]", bump_map)
-        diagnoses.append(diagnose_failing(failing, bump_map, graph, by_response))
+        diagnoses.append(diagnose_failing(failing, bump_map, graph, dictionary))
     return {"version": SCHEMA_VERSION, "diagnoses": diagnoses}

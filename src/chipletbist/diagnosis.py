@@ -203,26 +203,6 @@ class BumpDiagnosis(Record):
     unmodeled: bool = False
 
 
-def diagnose_bump(bump, response, observed, coloring, graph, by_response) -> BumpDiagnosis:
-    """One failing bump's stuck-at candidates, then bridges by ascending partner id.
-
-    ``observed(neighbor)`` is a neighbor's response, or None if it cannot be
-    falsified.  A bridge needs a neighbor of a partner color in ``by_response``
-    whose observed response agrees with the signature.
-    """
-    color = coloring[bump]
-    match = by_response.get((color, response))
-    stuck_values, partners = match or ((), {})
-    candidates: list[Candidate] = [StuckAt(bump, value) for value in stuck_values]
-    # Neighbors ascend, so the (min, max) keys come out sorted and unique.
-    for neighbor in graph.neighbors(bump):
-        expected = partners.get(coloring[neighbor], ())
-        seen = observed(neighbor)
-        if expected and (seen is None or seen in expected):
-            candidates.append(BridgeCandidate(min(bump, neighbor), max(bump, neighbor)))
-    return BumpDiagnosis(bump, color, response, tuple(candidates), unmodeled=match is None)
-
-
 def diagnose(
     report: BlockTestReport,
     bump_map: BumpMap,
@@ -231,16 +211,35 @@ def diagnose(
 ) -> list[BumpDiagnosis]:
     """Match failing bumps (y = 0) against the single-fault dictionary.
 
-    A neighbor outside the report, e.g. in another block, cannot be falsified,
-    so its bridge candidate is kept.  An empty list means no fault was
-    detected.  Guarantees hold under the single-fault assumption; multi-fault
-    reports are processed bump by bump on a best-effort basis.
+    Each failing bump gets its stuck-at candidates, then a bridge to each
+    neighbor of a partner color whose response the signature allows, by
+    ascending neighbor id.  An unlisted bump of the report's block passed
+    with (1, 1); a neighbor in another block cannot be falsified, so its
+    bridge candidate is kept.  An empty list means no fault was detected.
+    Guarantees hold under the single-fault assumption; multi-fault reports
+    are processed bump by bump on a best-effort basis.
     """
-    if bump_map.coloring is None:
-        raise ParameterError("bump map must be colored to diagnose responses")
+    coloring, blocks = bump_map.coloring, bump_map.blocks
+    if coloring is None or blocks is None:
+        raise ParameterError("bump map must be colored and blocked to diagnose responses")
     by_response = (dictionary or _quad_dictionary()).by_response
-    return [
-        diagnose_bump(bump, response, report.responses.get, bump_map.coloring, graph, by_response)
-        for bump, response in sorted(report.responses.items())
-        if response.y != 1
-    ]
+    responses, block = report.responses, report.block
+    diagnoses = []
+    for bump, response in sorted(responses.items()):
+        if response.y == 1:
+            continue
+        color = coloring[bump]
+        match = by_response.get((color, response))
+        stuck_values, partners = match or ((), {})
+        candidates: list[Candidate] = [StuckAt(bump, value) for value in stuck_values]
+        # Neighbors ascend, so the (min, max) keys come out sorted and unique.
+        for neighbor in graph.neighbors(bump):
+            expected = partners.get(coloring[neighbor], ())
+            if expected and (
+                blocks[neighbor] != block or responses.get(neighbor, NOMINAL_RESPONSE) in expected
+            ):
+                candidates.append(BridgeCandidate(min(bump, neighbor), max(bump, neighbor)))
+        diagnoses.append(
+            BumpDiagnosis(bump, color, response, tuple(candidates), unmodeled=match is None)
+        )
+    return diagnoses

@@ -1188,6 +1188,35 @@ def test_commands_call_the_names_the_tracer_wraps(
     assert calls, f"{argv[0]} did not call cli.{name}"
 
 
+def test_commands_diagnose_each_failing_block_through_campaign_diagnose(
+    monkeypatch, capsys, tmp_path
+):
+    # perfbench/tracer.py wraps campaign.diagnose too: simulate and diagnose
+    # call it once per failing block of each fault result, in block order.
+    import chipletbist.campaign as campaign
+
+    real, blocks = campaign.diagnose, []
+
+    def spy(report, *args, **kwargs):
+        blocks.append(report.block)
+        return real(report, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "diagnose", spy)
+    config = str(REPO / "configs" / "campaign_16x16_hex.json")
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, "simulate", "--config", config, "--out", str(report))[0] == 0
+    results = json.loads(report.read_text(encoding="utf-8"))["fault_results"]
+    expected = [
+        block
+        for result in results
+        for block in sorted({item["block"] for item in result["failing"]})
+    ]
+    assert expected and blocks == expected
+    blocks.clear()
+    assert run_cli(capsys, "diagnose", "--report", str(report))[0] == 0
+    assert blocks == expected
+
+
 def test_every_name_the_tracer_wraps_exists():
     # perfbench/tracer.py looks each name up when it installs, so a missing
     # one fails every traced run.  Install it on copies of the two modules.

@@ -18,6 +18,7 @@ from chipletbist.bist import (
 )
 from chipletbist.bumpmap import (
     AdjacencyGraph,
+    BumpMap,
     COLOR_INDEX,
     COLOR_ORDER,
     Color,
@@ -281,8 +282,10 @@ def test_diagnose_on_full_map_prunes_by_adjacency_and_color():
 def test_diagnose_requires_colored_map():
     bump_map = build_bump_map(Lattice(LatticeKind.RECTANGULAR, 1, 4, 20.0))
     report = BlockTestReport(block=0, responses={0: DetectorResponse(0, 0)}, received={})
-    with pytest.raises(ParameterError):
-        diagnose(report, bump_map, AdjacencyGraph([]))
+    # A blocked one too: whether an unlisted neighbor passed depends on its block.
+    for unready in (bump_map, BumpMap(bump_map.lattice, COLOR_ORDER)):
+        with pytest.raises(ParameterError, match="^bump map must be colored and blocked to diagnose"):
+            diagnose(report, unready, AdjacencyGraph([]))
 
 
 def scan_diagnose(report, bump_map, graph, dictionary):
@@ -312,7 +315,12 @@ def scan_diagnose(report, bump_map, graph, dictionary):
                     continue
                 modeled = True
                 for neighbor in graph.neighbors(bump):
-                    observed = report.responses.get(neighbor)
+                    # An unlisted bump of the block passed; another block's cannot be falsified.
+                    observed = (
+                        report.responses.get(neighbor, NOMINAL_RESPONSE)
+                        if bump_map.blocks[neighbor] == report.block
+                        else None
+                    )
                     if bump_map.coloring[neighbor] is partner and (
                         observed is None or observed == signature[COLOR_INDEX[partner]]
                     ):
@@ -354,6 +362,38 @@ def test_diagnose_matches_dictionary_scan():
                 for report in run_block_test(blocked, [fault]):
                     expected = scan_diagnose(report, blocked, graph, dictionary)
                     assert diagnose(report, blocked, graph) == expected, fault
+
+
+def test_diagnose_reads_an_unlisted_bump_of_its_block_as_passed():
+    # A lone green (0, 0) is green SA-0, or a green+black wired-AND bridge
+    # whose black end reads (1, 0).  Unlisted in the same block, black passed.
+    bump_map, graph = quad_fixture()
+    report = BlockTestReport(block=0, responses={0: DetectorResponse(0, 0)}, received={})
+    (entry,) = diagnose(report, bump_map, graph)
+    assert entry.candidates == (StuckAt(0, 0),)
+    # In another block, black cannot be falsified, so the bridge is kept.
+    split = BumpMap(bump_map.lattice, bump_map.coloring, (0, 0, 0, 1), 2)
+    (entry,) = diagnose(report, split, graph)
+    assert entry.candidates == (StuckAt(0, 0), BridgeCandidate(0, 3))
+
+
+def test_diagnose_of_the_failing_bumps_equals_diagnose_of_the_full_report():
+    # Every block report of every single fault on small blocked maps.
+    reports = 0
+    for kind in LatticeKind:
+        bump_map = build_bump_map(Lattice(kind, 8, 8, 20.0))
+        graph = potential_short_graph(bump_map, 1.9 * 20.0)
+        colored = assign_codewords(bump_map, graph)
+        for block_count in (1, 2, 3, 4):
+            blocked = partition_blocks(colored, block_count)
+            for fault in every_single_fault(blocked, graph):
+                for report in run_block_test(blocked, [fault]):
+                    failing = {b: r for b, r in report.responses.items() if r.y == 0}
+                    listed = BlockTestReport(report.block, failing, {})
+                    full = diagnose(report, blocked, graph)
+                    assert diagnose(listed, blocked, graph) == full, (fault, report.block)
+                    reports += 1
+    assert reports == 12760
 
 
 def test_bridge_bound_for_diagnosed_short():
