@@ -42,7 +42,6 @@ from .canonical import SCHEMA_VERSION
 from .diagnosis import (
     BumpDiagnosis,
     Candidate,
-    FaultDictionary,
     build_fault_dictionary,
     diagnosability_ratio,
     diagnose,
@@ -364,13 +363,12 @@ def diagnosis_to_dict(entry: BumpDiagnosis, block: int) -> dict:
     }
 
 
-def diagnose_failing(
-    failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph, dictionary: FaultDictionary
-) -> list[dict]:
+def diagnose_failing(failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph) -> list[dict]:
     """Diagnosis entries of one fault's failing bumps, in (block, bump) order.
 
     Each failing block is one ``diagnose`` call on a report of its listed
-    responses: every other bump of that block passed.
+    responses.  ``diagnose`` reads every bump's block from ``bump_map`` and
+    takes each unlisted bump of that block as passed.
     """
     by_block: dict[int, dict[int, DetectorResponse]] = {}
     for block, bump, response in failing:
@@ -378,14 +376,14 @@ def diagnose_failing(
     return [
         diagnosis_to_dict(entry, block)
         for block, listed in sorted(by_block.items())
-        for entry in diagnose(BlockTestReport(block, listed, {}), bump_map, graph, dictionary)
+        for entry in diagnose(BlockTestReport(block, listed, {}), bump_map, graph)
     ]
 
 
-def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph, dictionary) -> dict:
+def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     """One fault's report entry, simulated and diagnosed fault-locally."""
     failing = fault_local_failing(bump_map, fault)
-    diagnosis = diagnose_failing(failing, bump_map, graph, dictionary)
+    diagnosis = diagnose_failing(failing, bump_map, graph)
     wire = fault_to_dict(fault)
     # A candidate names the fault when it matches the fault's wire form
     # with the bridge behavior folded away.
@@ -420,9 +418,10 @@ def run_campaign(config: CampaignConfig) -> dict:
     resolved, and ``diagnose`` runs on each failing block's listed responses.
     The result equals the full-map ``run_block_test`` and ``diagnose`` on
     every block, at a per-fault cost independent of the map size.  The map
-    build is not: the colors, blocks and block sizes each take a pass over
-    the bumps (the short graph and the greedy rows do not, and no position
-    is computed).
+    build is not, though no position is computed: greedy colors the bumps
+    until its period repeats and tiles the rest, the edge count builds one
+    offset pattern per kind of row, and the block sizes are counted twice,
+    once by ``overhead_report`` and once by the map section.
     The metrics are counts over the finished fault results.
     """
     bump_map, graph = build_campaign_map(config)
@@ -437,7 +436,7 @@ def run_campaign(config: CampaignConfig) -> dict:
 
     dictionary = build_fault_dictionary()
     numerator, denominator = diagnosability_ratio(dictionary)
-    fault_results = [_fault_result(f, bump_map, graph, dictionary) for f in faults]
+    fault_results = [_fault_result(f, bump_map, graph) for f in faults]
     overhead = overhead_report(bump_map)
 
     detected = sum(result["detected"] for result in fault_results)
@@ -524,7 +523,8 @@ def rediagnose_report(report: dict) -> dict:
     """Re-derive every fault's diagnosis from a stored campaign report.
 
     Every listed response is a failing one, [0, 0] or [1, 0]; every other
-    bump of a block passed with (1, 1) (a y = 1 response forces x = 1), so
+    bump of a block passed with (1, 1) (a y = 1 response forces x = 1), and
+    each bump's block is read from the map the report's config builds, so
     the neighborhoods that diagnosis reads can be reconstructed exactly.  A
     ``map`` section that differs from the map the report's config builds (an
     edited config would re-diagnose against another graph), or a failing
@@ -548,9 +548,8 @@ def rediagnose_report(report: dict) -> dict:
             + ", ".join(f"{key} {value}" for key, value in expected_map.items())
             + ")"
         )
-    dictionary = build_fault_dictionary()
     diagnoses = []
     for i, result in enumerate(report["fault_results"]):
         failing = _failing_from_dict(result, f"report.fault_results[{i}]", bump_map)
-        diagnoses.append(diagnose_failing(failing, bump_map, graph, dictionary))
+        diagnoses.append(diagnose_failing(failing, bump_map, graph))
     return {"version": SCHEMA_VERSION, "diagnoses": diagnoses}

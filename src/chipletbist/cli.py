@@ -251,19 +251,15 @@ def _cmd_dictionary(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .campaign import CampaignConfig, SamplerSpec
+    from .campaign import config_to_dict, parse_config
 
     config = load_config(args.config)
     if args.seed is not None:
         if config.sampler is None:
             raise ParameterError("--seed override requires a sampler-based config")
-        old = config.sampler
-        sampler = SamplerSpec(
-            old.n_faults, args.seed, old.kind_mix, old.behavior_mix, old.include_inter_block
-        )
-        config = CampaignConfig(
-            config.map_spec, config.block_count, config.faults, sampler, config.output_report
-        )
+        data = config_to_dict(config)
+        data["sampler"]["seed"] = args.seed
+        config = parse_config(data)
     out = args.out or config.output_report
     if args.format == "csv" and out is None:
         raise ParameterError("--format csv needs --out or output.report in the config")

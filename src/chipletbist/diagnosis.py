@@ -213,9 +213,11 @@ def diagnose(
 
     Each failing bump gets its stuck-at candidates, then a bridge to each
     neighbor of a partner color whose response the signature allows, by
-    ascending neighbor id.  An unlisted bump of the report's block passed
-    with (1, 1); a neighbor in another block cannot be falsified, so its
-    bridge candidate is kept.  An empty list means no fault was detected.
+    ascending neighbor id.  Every bump's block is read from the map, not
+    from ``report.block``: an unlisted neighbor in the failing bump's own
+    block passed with (1, 1); a neighbor in another block cannot be
+    falsified, so its bridge candidate is kept.  An empty list means no
+    fault was detected.
     Guarantees hold under the single-fault assumption; multi-fault reports
     are processed bump by bump on a best-effort basis.
     """
@@ -223,12 +225,12 @@ def diagnose(
     if coloring is None or blocks is None:
         raise ParameterError("bump map must be colored and blocked to diagnose responses")
     by_response = (dictionary or _quad_dictionary()).by_response
-    responses, block = report.responses, report.block
+    responses = report.responses
     diagnoses = []
     for bump, response in sorted(responses.items()):
         if response.y == 1:
             continue
-        color = coloring[bump]
+        color, block = coloring[bump], blocks[bump]
         match = by_response.get((color, response))
         stuck_values, partners = match or ((), {})
         candidates: list[Candidate] = [StuckAt(bump, value) for value in stuck_values]

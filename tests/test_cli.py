@@ -618,6 +618,43 @@ def test_simulate_seed_override_changes_report(tmp_path, capsys):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
+def test_simulate_seed_override_equals_the_seed_in_the_config(tmp_path, capsys):
+    # Every sampler field off its default, and a default report path: the
+    # override changes the seed alone, and the report lands on that path.
+    report_path = tmp_path / "report.json"
+    sampler = {
+        "n_faults": 20,
+        "seed": 11,
+        "kind_mix": {"sa": 1.0, "bridge": 3.0},
+        "behavior_mix": {"wired-and": 0.25, "wired-or": 2.0},
+        "include_inter_block": False,
+    }
+    data = dict(CONFIG, sampler=sampler, output={"report": str(report_path)})
+
+    def simulate(config, *argv):
+        outcome = run_cli(capsys, "simulate", "--config", write_config(tmp_path, config), *argv)
+        return outcome, report_path.read_bytes()
+
+    overridden = simulate(data, "--seed", "17")
+    assert overridden == simulate(dict(data, sampler=dict(sampler, seed=17)))
+    (status, _, err), report = overridden
+    assert (status, err) == (0, "")
+    assert json.loads(report)["config"]["sampler"] == dict(sampler, seed=17)
+
+
+def test_simulate_seed_override_of_a_fault_list_exits_1(tmp_path, capsys):
+    data = dict(CONFIG, faults=[{"kind": "sa0", "net": 0}])
+    del data["sampler"]
+    out_path = tmp_path / "report.json"
+    status, out, err = run_cli(
+        capsys, "simulate", "--config", write_config(tmp_path, data), "--out", str(out_path),
+        "--seed", "17",
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: --seed override requires a sampler-based config\n"
+    assert not out_path.exists()
+
+
 def test_simulate_csv_metrics(tmp_path, capsys):
     config_path = write_config(tmp_path, CONFIG)
     out_path = tmp_path / "report.json"

@@ -377,6 +377,51 @@ def test_diagnose_reads_an_unlisted_bump_of_its_block_as_passed():
     assert entry.candidates == (StuckAt(0, 0), BridgeCandidate(0, 3))
 
 
+def test_diagnose_reads_each_bump_block_from_the_map_not_the_report():
+    # Every bump in block 1: whatever block the report names, black passed.
+    bump_map, graph = quad_fixture()
+    moved = BumpMap(bump_map.lattice, bump_map.coloring, (1, 1, 1, 1), 2)
+    for block in (0, 1, 7):
+        report = BlockTestReport(block=block, responses={0: DetectorResponse(0, 0)}, received={})
+        (entry,) = diagnose(report, moved, graph)
+        assert entry.candidates == (StuckAt(0, 0),), block
+
+
+def test_one_diagnose_of_a_failing_list_across_blocks_equals_its_per_block_diagnoses():
+    spanning = 0
+    for kind in LatticeKind:
+        bump_map = build_bump_map(Lattice(kind, 8, 8, 20.0))
+        graph = potential_short_graph(bump_map, 1.9 * 20.0)
+        colored = assign_codewords(bump_map, graph)
+        for block_count in (2, 3, 4):
+            blocked = partition_blocks(colored, block_count)
+            for fault in every_single_fault(blocked, graph):
+                failing = fault_local_failing(blocked, fault)
+                blocks = sorted({block for block, _, _ in failing})
+                if len(blocks) < 2:
+                    continue
+                spanning += 1
+                per_block = sorted(
+                    (
+                        entry
+                        for block in blocks
+                        for entry in diagnose(
+                            BlockTestReport(
+                                block, {b: r for k, b, r in failing if k == block}, {}
+                            ),
+                            blocked,
+                            graph,
+                        )
+                    ),
+                    key=lambda entry: entry.bump,
+                )
+                listed = {bump: response for _, bump, response in failing}
+                for block in (*blocks, 99):
+                    report = BlockTestReport(block, listed, {})
+                    assert diagnose(report, blocked, graph) == per_block, (fault, block)
+    assert spanning == 348
+
+
 def test_diagnose_of_the_failing_bumps_equals_diagnose_of_the_full_report():
     # Every block report of every single fault on small blocked maps.
     reports = 0
