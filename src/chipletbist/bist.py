@@ -14,7 +14,7 @@ from collections import defaultdict
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .bumpmap import BumpMap, Color, block_sizes
+from .bumpmap import BumpMap, Color
 from .errors import ParameterError, SimulationError
 from .record import Record
 
@@ -328,7 +328,7 @@ def overhead_report(bump_map: BumpMap) -> OverheadReport:
     """
     if bump_map.blocks is None or bump_map.block_count is None:
         raise ParameterError("bump map must be blocked for an overhead report")
-    detectors = max(block_sizes(bump_map))
+    detectors = max(bump_map.block_sizes)
     return OverheadReport(
         detector_count=detectors,
         tpg_count=bump_map.block_count,

@@ -96,7 +96,7 @@ class BumpMap(Record):
     :func:`assign_codewords` / :func:`partition_blocks` produce them.
     """
 
-    __slots__ = ("__dict__",)  # where ``positions`` is kept
+    __slots__ = ("__dict__",)  # where ``positions`` and ``block_sizes`` are kept
 
     lattice: Lattice
     coloring: tuple[Color, ...] | None = None
@@ -112,6 +112,16 @@ class BumpMap(Record):
         """Each bump's (x, y) in micrometers, by id, from :func:`lattice_coordinates`."""
         xs, odd_xs, ys = lattice_coordinates(self.lattice)
         return tuple((x, y) for r, y in enumerate(ys) for x in (odd_xs if r % 2 else xs))
+
+    @cached_property
+    def block_sizes(self) -> tuple[int, ...]:
+        """The number of bumps in each block, from one count of ``blocks``; a
+        block id outside ``range(block_count)`` raises ParameterError."""
+        counts, ids = Counter(self.blocks), range(self.block_count)
+        outside = counts.keys() - ids
+        if outside:
+            raise ParameterError(f"block id {min(outside)} is outside range({len(ids)})")
+        return tuple(counts[k] for k in ids)
 
     def row_col(self, bump: int) -> tuple[int, int]:
         return divmod(bump, self.lattice.cols)
@@ -449,12 +459,3 @@ def partition_blocks(bump_map: BumpMap, block_count: int) -> BumpMap:
     blocks = tuple(col_to_block) * bump_map.lattice.rows
     return BumpMap(bump_map.lattice, bump_map.coloring, blocks, block_count)
 
-
-def block_sizes(bump_map: BumpMap) -> list[int]:
-    """The number of bumps in each block, from one count of ``blocks``; a
-    block id outside ``range(block_count)`` raises ParameterError."""
-    counts, ids = Counter(bump_map.blocks), range(bump_map.block_count)
-    outside = counts.keys() - ids
-    if outside:
-        raise ParameterError(f"block id {min(outside)} is outside range({len(ids)})")
-    return [counts[k] for k in ids]

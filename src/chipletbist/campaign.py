@@ -33,7 +33,6 @@ from .bumpmap import (
     BumpMap,
     Lattice,
     assign_codewords,
-    block_sizes,
     build_bump_map,
     partition_blocks,
     potential_short_graph,
@@ -479,7 +478,7 @@ def _map_section(bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     return {
         "bumps": bump_map.bump_count,
         "edges": graph.edge_count,
-        "block_sizes": block_sizes(bump_map),
+        "block_sizes": list(bump_map.block_sizes),
     }
 
 

@@ -8,6 +8,7 @@ simulation error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from importlib import import_module
@@ -66,44 +67,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_output(text: str, out: str | None) -> None:
-    # Stdout ends with a newline, as every JSON document does.
+    """Write one text, checked as UTF-8 before anything opens: it is the only
+    output a text argument's non-UTF-8 bytes (lone surrogates) can reach."""
     if out is None and not text.endswith("\n"):
-        text += "\n"
-    _stream(lambda emit: emit(text), out)
+        text += "\n"  # as every JSON document ends
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise ParameterError(
+            f"output is not valid UTF-8 ({bad!r} at character {exc.start}); "
+            "a text argument holds bytes that are not UTF-8"
+        ) from None
+    _stream(lambda write: write(text), out)
 
 
 def _write_json(document, out: str | None) -> None:
-    _stream(lambda emit: stream_json(document, emit), out)
+    """Stream ``document``'s canonical JSON as the writer makes its pieces."""
+    _stream(partial(stream_json, document), out)
 
 
 def _stream(walk, out: str | None) -> None:
-    """Write each piece that ``walk(emit)`` emits as UTF-8, as it comes: to
-    ``out``, opened once the first piece has encoded (so an argument's
-    non-UTF-8 bytes, as lone surrogates, leave no file), or beneath stdout's
-    text layer, so that stdout gets the same bytes whatever its encoding."""
-    handle = None
-
-    def emit(text: str) -> None:
-        nonlocal handle
-        try:
-            data = text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            bad = exc.object[exc.start:exc.end]
-            raise ParameterError(
-                f"output is not valid UTF-8 ({bad!r} at character {exc.start}); "
-                "a text argument holds bytes that are not UTF-8"
-            ) from None
-        if handle is None:
-            if out is None:
-                sys.stdout.flush()  # what the text layer holds goes first
-            handle = sys.stdout.buffer if out is None else open(out, "wb")
-        handle.write(data)
-
+    """Hand ``walk`` the ``write`` of one UTF-8 text stream: ``out``, opened
+    before the first piece, or a wrapper over stdout's buffer, so stdout gets
+    the same bytes whatever its encoding.  No JSON document holds a lone
+    surrogate (the one user string a document echoes, ``output.report``, is
+    rejected at parse), so no piece fails to encode."""
+    if out is not None:
+        with open(out, "w", encoding="utf-8", newline="") as stream:
+            walk(stream.write)
+        return
+    sys.stdout.flush()  # what the text layer holds goes first
+    stream = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
     try:
-        walk(emit)
+        walk(stream.write)
     finally:
-        if out is not None and handle is not None:
-            handle.close()
+        stream.detach()  # flushes, and leaves stdout's buffer open
 
 
 def _cmd_gen_map(args) -> int:

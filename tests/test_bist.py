@@ -37,7 +37,6 @@ from chipletbist.bumpmap import (
     Lattice,
     LatticeKind,
     assign_codewords,
-    block_sizes,
     build_bump_map,
     partition_blocks,
     potential_short_graph,
@@ -404,7 +403,7 @@ def test_overhead_test_length_is_the_fsm_length():
         blocked = partition_blocks(bump_map, blocks)
         report = overhead_report(blocked)
         assert report.test_cycles == fsm_schedule(blocks).total_cycles
-        assert report.detector_count == max(block_sizes(blocked))
+        assert report.detector_count == max(blocked.block_sizes)
 
 
 def test_simulate_one_block_per_column_fits_in_1_gib(tmp_path):
@@ -441,7 +440,7 @@ def test_block_sizes_count_any_blocks_tuple():
     # bands, so a size is not rows x band width (that would give [2, 2] here).
     lattice = Lattice(LatticeKind.RECTANGULAR, 2, 2, 20.0)
     bump_map = BumpMap(lattice, coloring=COLOR_ORDER, blocks=(0, 0, 0, 1), block_count=2)
-    assert block_sizes(bump_map) == [3, 1]
+    assert bump_map.block_sizes == (3, 1)
     assert overhead_report(bump_map).detector_count == 3
     assert bump_map.bumps_in_block(1) == (3,)
 
@@ -455,7 +454,7 @@ def test_block_sizes_rejects_a_block_id_outside_block_count(bad):
     bump_map = BumpMap(lattice, coloring=coloring, blocks=(1, 0, 1, bad, 1, 0), block_count=2)
     message = re.escape(f"block id {bad} is outside range(2)")
     with pytest.raises(ParameterError, match=message):
-        block_sizes(bump_map)
+        bump_map.block_sizes
     with pytest.raises(ParameterError, match=message):
         overhead_report(bump_map)
 

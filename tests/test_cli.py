@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import collections
+import gc
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -655,6 +658,42 @@ def test_simulate_seed_override_of_a_fault_list_exits_1(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_simulate_seeds_s_and_minus_s_draw_the_same_faults(tmp_path, capsys):
+    # random.Random seeds from the seed's magnitude (README, Determinism), so
+    # the two reports differ only in the seed they echo.
+    data = dict(CONFIG, map={"kind": "hexagonal", "rows": 32, "cols": 32, "pitch_um": 20.0},
+                block_count=4, sampler={"n_faults": 600, "seed": 1})
+    config_path = write_config(tmp_path, data)
+    reports = []
+    for seed in ("5", "-5"):
+        out_path = tmp_path / f"report{seed}.json"
+        argv = ["simulate", "--config", config_path, "--out", str(out_path), f"--seed={seed}"]
+        status, _, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        reports.append(json.loads(out_path.read_bytes()))
+    plus, minus = reports
+    seeds = plus["config"]["sampler"].pop("seed"), minus["config"]["sampler"].pop("seed")
+    assert seeds == (5, -5)
+    assert plus == minus  # fault_results and metrics included
+
+
+def test_simulate_counts_the_block_sizes_once(tmp_path, capsys, monkeypatch):
+    # The overhead's detector count and the report's map section share one count.
+    import chipletbist.bumpmap as bumpmap
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return collections.Counter(*args)
+
+    monkeypatch.setattr(bumpmap, "Counter", counting)
+    config = str(REPO / "configs" / "campaign_16x16_hex.json")
+    report = str(tmp_path / "report.json")
+    status, _, err = run_cli(capsys, "simulate", "--config", config, "--out", report)
+    assert (status, err, len(calls)) == (0, "", 1)
+
+
 def test_simulate_csv_metrics(tmp_path, capsys):
     config_path = write_config(tmp_path, CONFIG)
     out_path = tmp_path / "report.json"
@@ -742,6 +781,43 @@ def test_no_failure_touches_an_existing_out_file(tmp_path, capsys):
         assert (got, out) == (status, ""), argv
         assert err.count("\n") == 1, err
         assert out_path.read_bytes() == b"kept\n", argv
+
+
+def test_json_to_stdout_leaves_stdout_open(tmp_path, monkeypatch):
+    # Each document streams beneath stdout's text layer, after what that layer
+    # holds; the stream over its buffer is detached, so no collection closes it.
+    buffer = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(buffer, encoding="utf-8"))
+    out_path = tmp_path / "dictionary.json"
+    assert main(["dictionary", "--format", "json", "--out", str(out_path)]) == 0
+    sys.stdout.write("head\n")
+    for _ in range(2):
+        assert main(["dictionary", "--format", "json"]) == 0
+        gc.collect()
+    sys.stdout.flush()
+    assert buffer.getvalue() == b"head\n" + 2 * out_path.read_bytes()
+
+
+def test_stdout_gets_the_out_bytes_under_an_ascii_encoding(tmp_path, capsys, monkeypatch):
+    report_path = tmp_path / "report.json"
+    config = str(REPO / "configs" / "campaign_16x16_hex.json")
+    assert run_cli(capsys, "simulate", "--config", config, "--out", str(report_path))[0] == 0
+    commands = [
+        ["diagnose", "--report", str(report_path)],
+        ["gen-map", "--kind", "hexagonal", "--rows", "8", "--cols", "8", "--pitch-um", "20",
+         "--blocks", "2"],
+        ["netlist", "--component", "rdl", "--length-um", "5", "--title", "\u00e9"],
+    ]
+    for argv in commands:
+        out_path = tmp_path / "out"
+        assert main([*argv, "--out", str(out_path)]) == 0, argv
+        buffer = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(buffer, encoding="ascii"))
+        assert main(argv) == 0, argv
+        sys.stdout.flush()
+        # The deck ends at ".END"; stdout adds its final newline.
+        expected = out_path.read_bytes().removesuffix(b"\n") + b"\n"
+        assert buffer.getvalue() == expected, argv
 
 
 @pytest.mark.parametrize(
