@@ -338,11 +338,10 @@ def potential_short_graph(bump_map: BumpMap, short_radius_um: float) -> Adjacenc
     that distance is at most quarters_max = 4*(rn*pd)**2 // (pn*rd)**2.  So
     for each row offset and row parity the partners form one run of column
     offsets, |2*dc + s| <= isqrt(quarters_max - w*dr**2), decided once, in
-    integers.  A radius on a ring of the lattice (a factor of 1, 2 or 3,
-    say) holds the whole ring.  math.sqrt(3.0) lies just below sqrt(3), so
-    that factor leaves the sqrt(3) ring out whole, unless its product with
-    the pitch rounds up past sqrt(3)*pitch (it does at pitch 3, not at 20
-    or 7.3).
+    integers.  So a radius on a ring of the lattice holds the whole ring, and
+    a product that rounds below a ring leaves it out whole: 3.0 * 7.3 is just
+    below 3 pitches of 7.3, and math.sqrt(3.0) * pitch is below sqrt(3)
+    pitches unless it rounds up past them (it does at pitch 3, not 20 or 7.3).
 
     The radius must be positive with a normal, finite square.
     The returned graph holds at most two runs per row offset and parity,

@@ -39,6 +39,7 @@ from .bumpmap import (
 )
 from .canonical import SCHEMA_VERSION
 from .diagnosis import (
+    BridgeCandidate,
     BumpDiagnosis,
     Candidate,
     build_fault_dictionary,
@@ -362,8 +363,10 @@ def diagnosis_to_dict(entry: BumpDiagnosis, block: int) -> dict:
     }
 
 
-def diagnose_failing(failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph) -> list[dict]:
-    """Diagnosis entries of one fault's failing bumps, in (block, bump) order.
+def diagnose_failing(
+    failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyGraph
+) -> list[tuple[int, BumpDiagnosis]]:
+    """(block, ``BumpDiagnosis``) pairs of one fault's failing bumps, in (block, bump) order.
 
     Each failing block is one ``diagnose`` call on a report of its listed
     responses.  ``diagnose`` reads every bump's block from ``bump_map`` and
@@ -373,7 +376,7 @@ def diagnose_failing(failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyG
     for block, bump, response in failing:
         by_block.setdefault(block, {})[bump] = response
     return [
-        diagnosis_to_dict(entry, block)
+        (block, entry)
         for block, listed in sorted(by_block.items())
         for entry in diagnose(BlockTestReport(block, listed, {}), bump_map, graph)
     ]
@@ -382,13 +385,11 @@ def diagnose_failing(failing: FailingBumps, bump_map: BumpMap, graph: AdjacencyG
 def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     """One fault's report entry, simulated and diagnosed fault-locally."""
     failing = fault_local_failing(bump_map, fault)
-    diagnosis = diagnose_failing(failing, bump_map, graph)
-    wire = fault_to_dict(fault)
-    # A candidate names the fault when it matches the fault's wire form
-    # with the bridge behavior folded away.
-    named = {key: value for key, value in wire.items() if key != "behavior"}
+    entries = diagnose_failing(failing, bump_map, graph)
+    # A candidate names a stuck-at by itself and a bridge by its endpoints.
+    named = BridgeCandidate(fault.a, fault.b) if isinstance(fault, Bridge) else fault
     return {
-        "fault": wire,
+        "fault": fault_to_dict(fault),
         "detected": bool(failing),
         "inter_block": (
             bump_map.blocks[fault.a] != bump_map.blocks[fault.b]
@@ -399,8 +400,8 @@ def _fault_result(fault: Fault, bump_map: BumpMap, graph: AdjacencyGraph) -> dic
             {"block": block, "bump": bump, "response": list(response)}
             for block, bump, response in failing
         ],
-        "diagnosis": diagnosis,
-        "diagnosis_hit": any(named in entry["candidates"] for entry in diagnosis),
+        "diagnosis": [diagnosis_to_dict(entry, block) for block, entry in entries],
+        "diagnosis_hit": any(named in entry.candidates for _, entry in entries),
     }
 
 
@@ -419,8 +420,7 @@ def run_campaign(config: CampaignConfig) -> dict:
     every block, at a per-fault cost independent of the map size.  The map
     build is not, though no position is computed: greedy colors the bumps
     until its period repeats and tiles the rest, the edge count builds one
-    offset pattern per kind of row, and the block sizes are counted twice,
-    once by ``overhead_report`` and once by the map section.
+    offset pattern per kind of row, and the block sizes are counted once.
     The metrics are counts over the finished fault results.
     """
     bump_map, graph = build_campaign_map(config)
@@ -550,5 +550,6 @@ def rediagnose_report(report: dict) -> dict:
     diagnoses = []
     for i, result in enumerate(report["fault_results"]):
         failing = _failing_from_dict(result, f"report.fault_results[{i}]", bump_map)
-        diagnoses.append(diagnose_failing(failing, bump_map, graph))
+        entries = diagnose_failing(failing, bump_map, graph)
+        diagnoses.append([diagnosis_to_dict(entry, block) for block, entry in entries])
     return {"version": SCHEMA_VERSION, "diagnoses": diagnoses}

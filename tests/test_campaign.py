@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipletbist.bist import Bridge, BridgeBehavior, StuckAt
+from chipletbist.bist import Bridge, BridgeBehavior, StuckAt, fault_local_failing
 from chipletbist.bumpmap import AdjacencyGraph, LatticeKind
 from chipletbist.campaign import (
     CampaignConfig,
@@ -16,6 +16,8 @@ from chipletbist.campaign import (
     SamplerSpec,
     build_campaign_map,
     config_to_dict,
+    diagnose_failing,
+    diagnosis_to_dict,
     fault_from_dict,
     fault_to_dict,
     parse_config,
@@ -24,6 +26,7 @@ from chipletbist.campaign import (
     sample_faults,
 )
 from chipletbist.canonical import canonical_json
+from chipletbist.diagnosis import BumpDiagnosis
 from chipletbist.errors import ColoringError, ParameterError
 
 
@@ -276,6 +279,22 @@ def test_inter_block_wired_and_detected_and_diagnosed_as_grounding():
     assert result["inter_block"] is True
     failing_bumps = {f["bump"] for f in result["failing"]}
     assert failing_bumps == set(cross)  # each endpoint fails in its own block
+
+
+def test_diagnose_failing_keeps_records_until_the_report_writes_them():
+    config = parse_config(base_config_dict())
+    bump_map, graph = build_campaign_map(config)
+    cross = next(
+        e for e in sorted(graph.edges) if bump_map.blocks[e[0]] != bump_map.blocks[e[1]]
+    )
+    bridge = Bridge(*cross, BridgeBehavior.WIRED_AND)
+    failing = fault_local_failing(bump_map, bridge)
+    entries = diagnose_failing(failing, bump_map, graph)
+    # One (block, record) pair per failing bump, in (block, bump) order.
+    assert [(block, entry.bump) for block, entry in entries] == [(b, n) for b, n, _ in failing]
+    assert all(isinstance(entry, BumpDiagnosis) for _, entry in entries)
+    (result,) = run_explicit_campaign([bridge])["fault_results"]
+    assert result["diagnosis"] == [diagnosis_to_dict(entry, block) for block, entry in entries]
 
 
 def test_inter_block_wired_or_escapes():
