@@ -97,14 +97,14 @@ def _expect_keys(data: dict, where: str, required: set[str], optional: set[str] 
 
 
 def _integer(
-    value: Any, where: str, minimum: int | None = None, expected: str = "an integer"
+    value: Any,
+    where: str,
+    minimum: float = -math.inf,
+    expected: str = "an integer",
+    below: float = math.inf,
 ) -> int:
-    """A JSON integer (not a bool), at least ``minimum`` when one is given."""
-    if (
-        not isinstance(value, int)
-        or isinstance(value, bool)
-        or (minimum is not None and value < minimum)
-    ):
+    """A JSON integer (not a bool) with ``minimum <= value < below``."""
+    if not isinstance(value, int) or isinstance(value, bool) or not minimum <= value < below:
         raise ParameterError(f"{where}: expected {expected}, got {value!r}")
     return value
 
@@ -482,10 +482,6 @@ def _map_section(bump_map: BumpMap, graph: AdjacencyGraph) -> dict:
     }
 
 
-def _is_index(value: Any, size: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
-
-
 def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBumps:
     """Validated (block, bump, response) triples of one stored fault result:
     every listed response fails, [0, 0] or [1, 0]; every other bump passed."""
@@ -496,11 +492,11 @@ def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBum
     for i, item in enumerate(result["failing"]):
         at = f"{where}.failing[{i}]"
         _expect_keys(item, at, {"block", "bump", "response"})
-        block, bump, response = item["block"], item["bump"], item["response"]
-        if not _is_index(block, bump_map.block_count):
-            raise ParameterError(f"{at}.block: expected a block id of this map, got {block!r}")
-        if not _is_index(bump, bump_map.bump_count):
-            raise ParameterError(f"{at}.bump: expected a bump id of this map, got {bump!r}")
+        block = _integer(
+            item["block"], f"{at}.block", 0, "a block id of this map", bump_map.block_count
+        )
+        bump = _integer(item["bump"], f"{at}.bump", 0, "a bump id of this map", bump_map.bump_count)
+        response = item["response"]
         if bump in listed_at:
             raise ParameterError(
                 f"{at}.bump: bump {bump} is already listed at failing[{listed_at[bump]}]"
@@ -510,7 +506,9 @@ def _failing_from_dict(result: Any, where: str, bump_map: BumpMap) -> FailingBum
             raise ParameterError(
                 f"{at}: bump {bump} lies in block {bump_map.blocks[bump]}, not {block}"
             )
-        if response not in ([0, 0], [1, 0]) or not all(_is_index(bit, 2) for bit in response):
+        if response not in ([0, 0], [1, 0]) or not all(
+            isinstance(bit, int) and not isinstance(bit, bool) for bit in response
+        ):
             raise ParameterError(
                 f"{at}.response: expected a failing response, [0, 0] or [1, 0], got {response!r}"
             )

@@ -227,7 +227,7 @@ def _cmd_dictionary(args) -> int:
         _write_json(payload, args.out)
         return 0
     if args.format == "csv":
-        lines = ["fault,behavior,green,blue,red,black"]
+        lines = [",".join(["fault", "behavior", *(color.value for color in COLOR_ORDER)])]
         for fault in dictionary.universe:
             signatures = dictionary.signatures_of[fault]
             behaviors = ["-"] if len(signatures) == 1 else [b.value for b in BridgeBehavior]

@@ -882,44 +882,85 @@ def _list_bump_twice(result):
     result["failing"].append(dict(result["failing"][0]))
 
 
+# Each case's whole stderr line; every case edits the first failing entry of
+# fault_results[0], which lists bump 28 of block 1 with response [0, 0].
+AT = "report.fault_results[0].failing[0]"
+BAD_RESPONSE = f"{AT}.response: expected a failing response, [0, 0] or [1, 0], got"
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit,line",
     [
-        _set_item("bump", 99999),
-        _move_to_other_block,
-        _set_item("block", 2),
-        _set_item("response", [0, 0, 0]),
-        _set_item("response", [0, 2]),
-        _set_item("response", ["0", "0"]),
-        _set_item("response", [1, 1]),
-        _set_item("response", [0, 1]),
-        _drop_failing,
-        _list_bump_twice,
-    ],
-    ids=[
-        "bump-outside-map",
-        "bump-outside-block",
-        "block-out-of-range",
-        "response-three-bits",
-        "response-not-binary",
-        "response-not-ints",
-        "response-passing",
-        "response-impossible",
-        "failing-missing",
-        "bump-listed-twice",
+        pytest.param(
+            _set_item("bump", 99999),
+            f"{AT}.bump: expected a bump id of this map, got 99999",
+            id="bump-outside-map",
+        ),
+        pytest.param(
+            _move_to_other_block, f"{AT}: bump 28 lies in block 1, not 0", id="bump-outside-block"
+        ),
+        pytest.param(
+            _set_item("block", 2),
+            f"{AT}.block: expected a block id of this map, got 2",
+            id="block-out-of-range",
+        ),
+        pytest.param(
+            _set_item("response", [0, 0, 0]), f"{BAD_RESPONSE} [0, 0, 0]", id="response-three-bits"
+        ),
+        pytest.param(
+            _set_item("response", [0, 2]), f"{BAD_RESPONSE} [0, 2]", id="response-not-binary"
+        ),
+        pytest.param(
+            _set_item("response", ["0", "0"]), f"{BAD_RESPONSE} ['0', '0']", id="response-not-ints"
+        ),
+        pytest.param(
+            _set_item("response", [True, 0]), f"{BAD_RESPONSE} [True, 0]", id="response-bool-bit"
+        ),
+        pytest.param(
+            _set_item("response", [1.0, 0]), f"{BAD_RESPONSE} [1.0, 0]", id="response-float-bit"
+        ),
+        pytest.param(
+            _set_item("response", [0, False]),
+            f"{BAD_RESPONSE} [0, False]",
+            id="response-bool-second-bit",
+        ),
+        pytest.param(
+            _set_item("response", [1, 1]), f"{BAD_RESPONSE} [1, 1]", id="response-passing"
+        ),
+        pytest.param(
+            _set_item("response", [0, 1]), f"{BAD_RESPONSE} [0, 1]", id="response-impossible"
+        ),
+        pytest.param(
+            _set_item("block", True),
+            f"{AT}.block: expected a block id of this map, got True",
+            id="block-bool",
+        ),
+        pytest.param(
+            _set_item("bump", 1.0),
+            f"{AT}.bump: expected a bump id of this map, got 1.0",
+            id="bump-float",
+        ),
+        pytest.param(
+            _drop_failing,
+            "report.fault_results[0]: expected an object with a 'failing' list",
+            id="failing-missing",
+        ),
+        pytest.param(
+            _list_bump_twice,
+            "report.fault_results[0].failing[1].bump: bump 28 is already listed at failing[0]",
+            id="bump-listed-twice",
+        ),
     ],
 )
-def test_diagnose_rejects_malformed_failing_entry(tmp_path, capsys, edit):
+def test_diagnose_rejects_malformed_failing_entry(tmp_path, capsys, edit, line):
     config_path = write_config(tmp_path, CONFIG)
     report_path = tmp_path / "report.json"
     assert run_cli(capsys, "simulate", "--config", config_path, "--out", str(report_path))[0] == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    edit(next(r for r in report["fault_results"] if r["failing"]))
+    assert report["fault_results"][0]["failing"][0] == {"block": 1, "bump": 28, "response": [0, 0]}
+    edit(report["fault_results"][0])
     report_path.write_text(json.dumps(report), encoding="utf-8")
-    status, out, err = run_cli(capsys, "diagnose", "--report", str(report_path))
-    assert status == 1
-    assert out == ""
-    assert err.startswith("error: report.fault_results[") and err.count("\n") == 1
+    assert run_cli(capsys, "diagnose", "--report", str(report_path)) == (1, "", f"error: {line}\n")
 
 
 def _set_config_radius(report):
@@ -1000,7 +1041,10 @@ def _rows_given_twice(tmp_path, capsys, command):
 def test_unreadable_json_input_exits_1(tmp_path, capsys, command, flag, make_input):
     path = tmp_path / "input.json"
     path.write_bytes(make_input(tmp_path, capsys, command))
-    assert_one_line_error(*run_cli(capsys, command, flag, str(path)))
+    status, out, err = run_cli(capsys, command, flag, str(path))
+    assert_one_line_error(status, out, err)
+    if make_input is _rows_given_twice:
+        assert err.endswith("(duplicate key 'rows')\n"), err
 
 
 def test_fit_non_utf8_csv_exits_1(tmp_path, capsys):
